@@ -24,11 +24,26 @@ one clock.  Each node owns:
 Nodes can serve both phases (default), or only prefill / only decode
 for the Splitwise-style disaggregated routing policy.
 
+Decode fast-forward: a run of decode steps with a fixed batch (no
+completion, admission, throttle toggle or paged-pool overflow inside
+it) is planned ahead as plain data — per-step boundary times folded
+left from the clock in the step-by-step float order, step costs,
+joules, the thermal trajectory and utilization — and served with one
+DES resumption.  The plan is committed lazily: token counters,
+per-request energy and timestamps, node meters and the thermal state
+are applied up to the step the clock has reached when the stretch ends,
+or earlier when anything reads or mutates the node (properties,
+:meth:`submit`, faults, mode changes, the power sampler's ticks).  A
+mutation that would change the next step cuts the plan at the boundary
+of the step in progress.  Every observable is bit-identical to serving
+one step per resumption (``docs/mechanisms.md`` §16).
+
 Fault surface (driven by :mod:`repro.faults`): :meth:`crash` /
 :meth:`restart` model a node death with KV-state loss, ``kv_shrink``
-models transient OOM pressure, ``slowdown`` models straggler
-interference, and :meth:`set_precision` is the graceful-degradation
-hook.  All of it is deterministic on the shared clock.
+models transient OOM pressure, :meth:`set_slowdown` models straggler
+interference, :meth:`shift_ambient` a hot enclosure, and
+:meth:`set_precision` is the graceful-degradation hook.  All of it is
+deterministic on the shared clock.
 """
 
 from __future__ import annotations
@@ -80,8 +95,34 @@ def natural_kv_budget(device: EdgeDevice, backend,
     )
 
 
-def _util_of(cost: StepCost) -> ComponentUtilization:
-    return ComponentUtilization.from_step_cost(cost)
+class _Stretch:
+    """A planned decode stretch: ``n`` steps of one fixed batch.
+
+    Step ``k`` runs over ``[ts[k], ts[k+1])``.  ``started`` steps have
+    their start effects (busy energy, thermal state, utilization)
+    committed and ``ended`` steps their token effects; the last step's
+    tokens are committed by the serve loop when it resumes.
+    """
+
+    __slots__ = ("batch", "bs", "tenants", "ts", "joules", "seconds", "utils",
+                 "temps", "n", "started", "ended")
+
+    def __init__(self, bs: int, start: float, step_j: float, seconds: float,
+                 util: ComponentUtilization):
+        """A one-step stretch: step 0, accounted live at ``start``."""
+        self.bs = bs
+        self.ts = [start, start + seconds]
+        self.joules = [step_j]
+        self.seconds = [seconds]
+        self.utils = [util]
+        self.temps = [None]
+        self.n = 1
+        self.started = 1
+        self.ended = 0
+        #: Set for multi-step stretches: the batch, and its members per
+        #: tenant in first-appearance order.
+        self.batch: List[ClusterRequest] = []
+        self.tenants: Dict[str, int] = {}
 
 
 @dataclass
@@ -127,6 +168,10 @@ class ClusterNode:
         the model's frequency multiplier to the GPU clock on top of
         whatever power mode is active.
     """
+
+    #: Most decode steps one stretch plans ahead.  Planning past the
+    #: next cut is wasted host time; 1 serves one step per resumption.
+    _STRETCH_STEPS = 32
 
     def __init__(
         self,
@@ -223,9 +268,9 @@ class ClusterNode:
         #: default — a bit-identical extraction of the historical
         #: head-of-queue pop — or a fair policy (``vtc``, ``wsc``).
         self.scheduler = get_fair_scheduler(scheduler)
-        #: Per-tenant decode-token production meter (counts every token
-        #: this node produced for the tenant, replays included).
-        self.tenant_served_tokens: Dict[str, int] = {}
+        #: Per-tenant decode-token production meter (see the
+        #: ``tenant_served_tokens`` property).
+        self._tenant_served_tokens: Dict[str, int] = {}
 
         self.queue: List[ClusterRequest] = []
         self.active: List[ClusterRequest] = []
@@ -247,12 +292,16 @@ class ClusterNode:
         self.sampler = PowerSampler(env, device, self.power_model, self.state,
                                     period_s=sample_period_s, obs=self.obs,
                                     obs_track=self.obs_track)
-        #: Exact step-accounted busy energy (J) and busy wall time (s).
-        self.busy_energy_j = 0.0
-        self.busy_seconds = 0.0
-        #: Decode tokens this node produced (each token exactly once per
-        #: *production*; replays after KV loss produce tokens again).
-        self.served_tokens = 0
+        #: The decode stretch in flight (None between stretches).
+        self._stretch: Optional[_Stretch] = None
+        #: The last ``_admit`` admitted nothing and stopped at a candidate
+        #: the KV budget refuses, and nothing changed since.
+        self._admit_blocked = False
+        self.sampler.before_sample = self._sync
+        # Meters behind the lazily synced properties of the same name.
+        self._busy_energy_j = 0.0
+        self._busy_seconds = 0.0
+        self._served_tokens = 0
         #: Prompt tokens this node prefilled (replayed prefills count).
         self.prefilled_tokens = 0
         self.last_busy_s = 0.0
@@ -260,8 +309,7 @@ class ClusterNode:
         # -- fault/resilience state ----------------------------------------
         #: False while crashed; admission refuses and routers skip.
         self.healthy = True
-        #: Wall-time multiplier on engine steps (straggler interference).
-        self.slowdown = 1.0
+        self._slowdown = 1.0
         #: Down intervals, for availability / MTTR accounting.
         self.crash_log: List[CrashEpisode] = []
         #: (time, throttled) transitions of the thermal governor.
@@ -276,6 +324,42 @@ class ClusterNode:
         self._wake = None
         self._restart_ev = None
         self._proc = env.process(self._serve_loop(), name=f"node-{node_id}")
+
+    # -- lazily committed meters -------------------------------------------
+    @property
+    def busy_energy_j(self) -> float:
+        """Exact step-accounted busy energy (J)."""
+        self._sync()
+        return self._busy_energy_j
+
+    @property
+    def busy_seconds(self) -> float:
+        """Busy wall time (s), straggler slowdown included."""
+        self._sync()
+        return self._busy_seconds
+
+    @property
+    def served_tokens(self) -> int:
+        """Decode tokens this node produced (each token exactly once per
+        *production*; replays after KV loss produce tokens again)."""
+        self._sync()
+        return self._served_tokens
+
+    @property
+    def tenant_served_tokens(self) -> Dict[str, int]:
+        """Per-tenant decode-token production meter (counts every token
+        this node produced for the tenant, replays included)."""
+        self._sync()
+        return self._tenant_served_tokens
+
+    @property
+    def slowdown(self) -> float:
+        """Wall-time multiplier on engine steps (straggler interference)."""
+        return self._slowdown
+
+    @slowdown.setter
+    def slowdown(self, factor: float) -> None:
+        self.set_slowdown(factor)
 
     # -- capacity ----------------------------------------------------------
     @property
@@ -298,13 +382,17 @@ class ClusterNode:
         return self.backend.request_kv_reservation(
             r.input_tokens, out, self._kv_per_token)
 
-    def _kv_live(self, r: ClusterRequest) -> int:
+    def _kv_live(self, r: ClusterRequest, generated: Optional[int] = None
+                 ) -> int:
         """KV bytes ``r`` holds privately right now (grows per token
-        under paged).  Prompt blocks living in the radix tree are
-        charged once through the tree, not per sharer."""
+        under paged), or after ``generated`` tokens if given.  Prompt
+        blocks living in the radix tree are charged once through the
+        tree, not per sharer."""
         out = 0 if self.role == "prefill" else r.output_tokens
+        if generated is None:
+            generated = r.generated
         live = self.backend.live_kv_bytes(
-            r.input_tokens, r.generated, out, self._kv_per_token)
+            r.input_tokens, generated, out, self._kv_per_token)
         if self.radix is not None and self.radix.holds(r.req_id):
             bt = self.radix.block_tokens
             live -= self.kv_bytes((r.input_tokens // bt) * bt)
@@ -312,6 +400,7 @@ class ClusterNode:
 
     @property
     def kv_in_use(self) -> int:
+        self._sync()
         total = sum(self._kv_live(r) for r in self.active)
         if self.radix is not None:
             # Tree-resident prompt blocks (shared and retained-after-
@@ -328,6 +417,7 @@ class ClusterNode:
     @property
     def depth(self) -> int:
         """Outstanding work: queued plus running requests."""
+        self._sync()
         return len(self.queue) + len(self.active)
 
     def fits(self, r: ClusterRequest) -> bool:
@@ -349,6 +439,10 @@ class ClusterNode:
         """Enqueue a request; returns False if admission refuses it."""
         if not self.accepts(r):
             return False
+        if len(self.active) < self.max_batch:
+            self._cut()  # the next step boundary may admit r
+        else:
+            self._sync()  # fair schedulers read live counters on arrival
         r.node_id = self.node_id
         self.queue.append(r)
         self.scheduler.on_arrival(r, self.env.now)
@@ -373,6 +467,7 @@ class ClusterNode:
         clock, so a throttled node switching modes stays throttled
         relative to the *new* mode.
         """
+        self._cut()
         apply_power_mode(self.device, mode)
         self._base_gpu_hz = self.device.gpu.freq_hz
         self._apply_throttle()
@@ -403,6 +498,18 @@ class ClusterNode:
         return self.power_model.power_w(self.device,
                                         ComponentUtilization.idle())
 
+    def shift_ambient(self, delta_c: float) -> None:
+        """Raise (or lower) the enclosure's ambient temperature; the
+        next step boundary heats against the new ambient."""
+        self._cut()
+        self.thermal.ambient_c += delta_c
+
+    def set_slowdown(self, factor: float) -> None:
+        """Set the straggler wall-time multiplier; the step in progress
+        keeps its duration, the next one stretches."""
+        self._cut()
+        self._slowdown = factor
+
     def _advance_thermal(self, watts: float, seconds: float) -> None:
         """Advance the RC node: idle gap since last step, then this step."""
         was_throttled = self.thermal.throttled
@@ -426,6 +533,8 @@ class ClusterNode:
         """
         if not self.healthy:
             return []
+        self._sync()
+        self._stretch = None  # the step in progress never lands
         self.healthy = False
         orphans = list(self.active) + list(self.queue)
         if self.obs.enabled:
@@ -486,6 +595,11 @@ class ClusterNode:
         """
         if factor <= 0:
             raise ConfigError("kv_shrink must be positive")
+        if int(self._kv_budget_base * factor) <= 0:
+            raise ConfigError(
+                f"kv_shrink {factor!r} leaves node {self.node_id} no KV "
+                f"budget (nominal {self._kv_budget_base} bytes)")
+        self._cut()
         grew = factor > self.kv_shrink
         self.kv_shrink = factor
         evicted = self._evict_over_budget(kv_shrink=factor)
@@ -625,6 +739,7 @@ class ClusterNode:
         """
         if precision is self.precision:
             return
+        self._cut()
         self.precision = precision
         self.timer = self.backend.make_timer(self.arch, self.device,
                                              precision, self._params)
@@ -656,7 +771,7 @@ class ClusterNode:
         bs = max(1, min(batch_size, self.max_batch))
         concat = self.backend.decode_concat_bytes(self.kv_bytes(bs * context))
         cost = self.timer.decode_step(bs, context, concat_bytes=concat)
-        watts = self.power_model.power_w(self.device, _util_of(cost))
+        watts = self.power_model.power_w(self.device, cost.util)
         return watts * cost.seconds / bs
 
     def _account(self, cost: StepCost, phase: str) -> tuple:
@@ -667,13 +782,13 @@ class ClusterNode:
         stretched wall time (interference keeps the board powered, it
         does not pause it).
         """
-        util = _util_of(cost)
+        util = cost.util
         self.state.set(phase, util)
-        seconds = cost.seconds * self.slowdown
+        seconds = cost.seconds * self._slowdown
         watts = self.power_model.power_w(self.device, util)
         joules = watts * seconds
-        self.busy_energy_j += joules
-        self.busy_seconds += seconds
+        self._busy_energy_j += joules
+        self._busy_seconds += seconds
         self._advance_thermal(watts, seconds)
         return joules, seconds
 
@@ -687,11 +802,11 @@ class ClusterNode:
             cpu_cores_active=1.0,
         )
         self.state.set(phase, util)
-        seconds *= self.slowdown
+        seconds *= self._slowdown
         watts = self.power_model.power_w(self.device, util)
         joules = watts * seconds
-        self.busy_energy_j += joules
-        self.busy_seconds += seconds
+        self._busy_energy_j += joules
+        self._busy_seconds += seconds
         self._advance_thermal(watts, seconds)
         return joules, seconds
 
@@ -713,6 +828,7 @@ class ClusterNode:
         ``queue[0]`` discipline, bit for bit).
         """
         admitted = []
+        blocked = False
         limit = self.kv_policy.effective_budget(self.kv_budget)
         while self.queue and len(self.active) < self.max_batch:
             idx = self.scheduler.select_next(self.queue)
@@ -723,6 +839,7 @@ class ClusterNode:
                 self.radix.reclaim(self.kv_in_use + need - limit,
                                    self.env.now)
             if self.kv_in_use + need > limit:
+                blocked = True
                 break
             r = self.queue.pop(idx)
             self.scheduler.on_dequeue(r)
@@ -739,6 +856,10 @@ class ClusterNode:
                         tenant=r.tenant, scheduler=self.scheduler.name,
                         queue_jump=idx)
                 self._obs_admitted(r)
+        # A refusal stands until something changes (every change cuts);
+        # admitting runs prefills (prefix hits, swap-ins) that move live
+        # KV before the next step, so it may not stand then.
+        self._admit_blocked = blocked and not admitted
         return admitted
 
     def _obs_admitted(self, r: ClusterRequest) -> None:
@@ -754,6 +875,143 @@ class ClusterNode:
             obs.instant(kinds.READMIT, cat=kinds.CAT_REQUEST,
                         track=f"req{r.req_id}", parent=r.obs_span,
                         node=self.node_id)
+
+    # -- decode fast-forward -------------------------------------------------
+    def _plan_stretch(self, bs: int, context: int, cost: StepCost,
+                      step_j: float, dur: float) -> _Stretch:
+        """Plan the decode stretch whose first step was just accounted.
+
+        Steps ``1..`` follow as plain data while the step-by-step loop
+        would provably do nothing at their boundaries but bill the next
+        step: the stretch ends at the batch's first completion, at the
+        step whose growth overflows the paged pool, before a step that
+        toggles the throttle, or after ``_STRETCH_STEPS``.  Boundary
+        times fold left from the clock (``t + seconds``, the float sum
+        ``env.timeout`` makes).
+
+        One-step stretches: observed nodes (span ids follow emission
+        order), and a batch with free slots and a non-empty queue unless
+        this boundary's admission admitted nothing and found the
+        candidate KV-blocked, under a scheduler whose choice cannot move
+        per token (a counter scheduler's ``select_next`` can).  Live KV
+        only grows inside a stretch, so such a head stays blocked until
+        something cuts the stretch.
+        """
+        st = _Stretch(bs, self.env.now, step_j, dur, cost.util)
+        batch = self.active
+        if self.obs.enabled or (
+                self.queue and len(batch) < self.max_batch
+                and (self.scheduler.meters_service
+                     or not self._admit_blocked)):
+            return st
+        n_max = min(self._STRETCH_STEPS,
+                    min(r.output_tokens - r.generated for r in batch))
+        if n_max <= 1:
+            return st
+        ts, joules, seconds = st.ts, st.joules, st.seconds
+        utils, temps = st.utils, st.temps
+        paged = self.backend.admits_by_free_blocks
+        if paged:
+            budget = self.kv_budget
+            tree = self.radix.resident_bytes if self.radix is not None else 0
+        timer, backend, power_w = self.timer, self.backend, self.power_model.power_w
+        device, thermal, slowdown = self.device, self.thermal, self._slowdown
+        kv_per_token = self._kv_per_token
+        temp, throttled = thermal.temp_c, thermal.throttled
+        t = ts[1]
+        for k in range(1, n_max):
+            if paged and tree + sum(
+                    self._kv_live(r, r.generated + k) for r in batch) > budget:
+                break  # step k-1's growth preempts at its boundary
+            ctx = context + k
+            cost = timer.decode_step(
+                bs, ctx,
+                concat_bytes=backend.decode_concat_bytes(
+                    bs * ctx * kv_per_token))
+            util = cost.util
+            sec = cost.seconds * slowdown
+            watts = power_w(device, util)
+            temp, now_throttled = thermal.fold(temp, throttled, watts, sec)
+            if now_throttled is not throttled:
+                break  # the toggle re-clocks the GPU: bill that step live
+            t = t + sec
+            ts.append(t)
+            joules.append(watts * sec)
+            seconds.append(sec)
+            utils.append(util)
+            temps.append(temp)
+        st.n = len(joules)
+        if st.n > 1:
+            st.batch = list(batch)
+            for r in batch:
+                st.tenants[r.tenant] = st.tenants.get(r.tenant, 0) + 1
+        return st
+
+    def _sync(self) -> None:
+        """Commit the in-flight stretch up to the clock (inclusive):
+        step starts (busy meters, thermal state, utilization) and the
+        tokens of every finished step but the last, which the serve
+        loop commits when it resumes."""
+        st = self._stretch
+        if st is None:
+            return
+        now = self.env.now
+        ts = st.ts
+        k = st.started
+        if k < st.n and ts[k] <= now:
+            while k < st.n and ts[k] <= now:
+                self._busy_energy_j += st.joules[k]
+                self._busy_seconds += st.seconds[k]
+                k += 1
+            st.started = k
+            self.thermal.temp_c = st.temps[k - 1]
+            self._thermal_clock = ts[k]
+            self.state.set("decode", st.utils[k - 1])
+        first = st.ended
+        last = st.n - 1
+        if first < last and ts[first + 1] <= now:
+            end = first + 1
+            while end < last and ts[end + 1] <= now:
+                end += 1
+            # Steps first..end-1 ended.  Each meter gets the same adds
+            # in the same order as one step at a time; only the
+            # interleaving across independent meters differs.
+            batch, bs, steps = st.batch, st.bs, end - first
+            shares = [j / bs for j in st.joules[first:end]]
+            t_first, t_last = ts[first + 1], ts[end]
+            for r in batch:
+                energy = r.energy_j
+                for share in shares:
+                    energy += share
+                r.energy_j = energy
+                r.generated += steps
+                r.last_token_s = t_last
+                if r.first_token_s is None:
+                    r.first_token_s = t_first
+            if self.scheduler.meters_service:
+                hook = self.scheduler.on_tokens_served
+                for _ in range(steps):
+                    for r in batch:
+                        hook(r, decode_tokens=1)
+            tenant_tokens = self._tenant_served_tokens
+            for tenant, count in st.tenants.items():
+                tenant_tokens[tenant] = (tenant_tokens.get(tenant, 0)
+                                         + count * steps)
+            self._served_tokens += bs * steps
+            self.last_busy_s = t_last
+            st.ended = end
+
+    def _cut(self) -> None:
+        """Something is about to change what the next step would do:
+        sync, then end the in-flight stretch at the boundary of the
+        step in progress (the loop is interrupted to wait for it).
+        Whatever changed may also unblock the queue's candidate."""
+        self._sync()
+        self._admit_blocked = False
+        st = self._stretch
+        if st is not None and st.started < st.n:
+            st.n = st.started
+            self._proc.interrupt("cut")
 
     def _serve_loop(self):
         env = self.env
@@ -820,8 +1078,9 @@ class ClusterNode:
                     yield env.timeout(dur)
                     self.last_busy_s = env.now
                     self.prefilled_tokens += prefill_tokens
-                    self.scheduler.on_tokens_served(
-                        r, prefill_tokens=prefill_tokens)
+                    if self.scheduler.meters_service:
+                        self.scheduler.on_tokens_served(
+                            r, prefill_tokens=prefill_tokens)
                     r.prefill_end_s = env.now
                     if self.obs.enabled:
                         self.obs.complete(
@@ -853,30 +1112,47 @@ class ClusterNode:
                     self.kv_bytes(bs * context))
                 cost = self.timer.decode_step(bs, context, concat_bytes=concat)
                 step_j, dur = self._account(cost, "decode")
-                step_start = env.now
-                yield env.timeout(dur)
+                st = self._plan_stretch(bs, context, cost, step_j, dur)
+                self._stretch = st
+                while True:
+                    try:
+                        yield env.timeout_at(st.ts[st.n])
+                        break
+                    except Interrupt:
+                        if self._stretch is not st:
+                            raise  # crashed: the plan died with the node
+                        # Cut: the plan now ends at the step in progress.
+                self._sync()
+                self._stretch = None
+                last = st.n - 1
+                step_j = st.joules[last]
                 self.last_busy_s = env.now
                 if self.obs.enabled:
+                    # Observed nodes serve one-step stretches.
                     self.obs.complete(
-                        kinds.DECODE, step_start, env.now,
+                        kinds.DECODE, st.ts[last], env.now,
                         cat=kinds.CAT_CLUSTER, track=self.obs_track,
-                        batch=bs, context=context)
+                        batch=bs, context=context + last)
                 # Requests evicted mid-step (OOM pressure) left `active`
                 # and get no token from this step.
                 step_tenants = set()
+                meters = self.scheduler.meters_service
+                tenant_tokens = self._tenant_served_tokens
+                now = env.now
+                share = step_j / bs
                 for r in list(self.active):
                     r.generated += 1
-                    r.last_token_s = env.now
-                    r.energy_j += step_j / bs
-                    self.served_tokens += 1
-                    self.scheduler.on_tokens_served(r, decode_tokens=1)
-                    self.tenant_served_tokens[r.tenant] = (
-                        self.tenant_served_tokens.get(r.tenant, 0) + 1)
+                    r.last_token_s = now
+                    r.energy_j += share
+                    self._served_tokens += 1
+                    if meters:
+                        self.scheduler.on_tokens_served(r, decode_tokens=1)
+                    tenant_tokens[r.tenant] = tenant_tokens.get(r.tenant, 0) + 1
                     step_tenants.add(r.tenant)
                     if r.first_token_s is None:
-                        r.first_token_s = env.now
+                        r.first_token_s = now
                     if r.generated >= r.output_tokens:
-                        r.finish_s = env.now
+                        r.finish_s = now
                         self.active.remove(r)
                         # The prompt path stays in the radix tree for
                         # future arrivals; only the pin is dropped.
@@ -892,8 +1168,7 @@ class ClusterNode:
                     for tenant in sorted(step_tenants):
                         self.obs.counter(
                             kinds.served_tokens_kind(tenant),
-                            self.tenant_served_tokens[tenant],
-                            track=self.obs_track)
+                            tenant_tokens[tenant], track=self.obs_track)
                 # Optimistic (free-block) admission can overcommit: live
                 # KV grew this step and may now exceed the pool —
                 # preempt the youngest (vLLM recompute preemption).

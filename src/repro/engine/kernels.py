@@ -40,6 +40,7 @@ from repro.models.flops import (
     prefill_counts,
 )
 from repro.models.footprint import weight_bytes
+from repro.power.model import ComponentUtilization
 from repro.quant.dtypes import Precision
 from repro.quant.overhead import QuantKernelModel
 
@@ -109,6 +110,19 @@ class StepCost:
     mem_bw_frac: float
     #: Average busy CPU cores.
     cpu_cores_active: float
+
+    @property
+    def util(self) -> ComponentUtilization:
+        """The utilization snapshot this step implies, built once per
+        (memoized) cost instead of once per simulated step."""
+        # Cached in the instance dict by hand: before Python 3.12,
+        # functools.cached_property takes a lock on every first access,
+        # and most steps of a long-context run are first accesses.
+        util = self.__dict__.get("_util")
+        if util is None:
+            util = ComponentUtilization.from_step_cost(self)
+            self.__dict__["_util"] = util
+        return util
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,10 @@ class FairScheduler:
     """
 
     name = "base"
+    #: Whether :meth:`on_tokens_served` does anything.  Serving loops
+    #: skip the per-token hook when False; a subclass that overrides
+    #: the hook must set this True.
+    meters_service = False
 
     def __init__(self, weights: Optional[Mapping[str, float]] = None):
         self.weights: Dict[str, float] = dict(weights or {})
@@ -104,6 +108,8 @@ class FCFSScheduler(FairScheduler):
 
 class _CounterScheduler(FairScheduler):
     """Shared machinery of the min-counter policies (VTC / WSC)."""
+
+    meters_service = True
 
     #: Relative cost of one prefill / one decode token.
     prefill_weight = 1.0

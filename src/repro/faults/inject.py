@@ -11,8 +11,8 @@ fault class           begin / end action on the node
 ``brownout``          ``node.apply_mode(<forced mode>)`` / restore
                       the snapshot taken at begin
 ``oom``               ``node.set_kv_shrink(f)`` / ``set_kv_shrink(1)``
-``straggler``         ``node.slowdown = m`` / ``node.slowdown = 1``
-``thermal``           ``node.thermal.ambient_c += d`` / ``-= d``
+``straggler``         ``node.set_slowdown(m)`` / ``set_slowdown(1)``
+``thermal``           ``node.shift_ambient(d)`` / ``shift_ambient(-d)``
 ====================  ==============================================
 
 Every edge — applied or skipped — lands in :attr:`FaultInjector.trace`
@@ -195,9 +195,9 @@ class FaultInjector:
 
     def _straggler(self, ev: FaultEvent, node: ClusterNode) -> None:
         if ev.action == "begin":
-            node.slowdown = ev.magnitude
+            node.set_slowdown(ev.magnitude)
         else:
-            node.slowdown = 1.0
+            node.set_slowdown(1.0)
         self._record(ev, True)
 
     def _thermal(self, ev: FaultEvent, node: ClusterNode) -> None:
@@ -205,7 +205,7 @@ class FaultInjector:
             if self._ambient_applied.get(node.node_id):
                 self._record(ev, False, "episode already active")
                 return
-            node.thermal.ambient_c += ev.magnitude
+            node.shift_ambient(ev.magnitude)
             self._ambient_applied[node.node_id] = ev.magnitude
             self._record(ev, True)
         else:
@@ -213,7 +213,7 @@ class FaultInjector:
             if not delta:
                 self._record(ev, False, "no active episode")
                 return
-            node.thermal.ambient_c -= delta
+            node.shift_ambient(-delta)
             self._record(ev, True)
 
     # -- reporting ---------------------------------------------------------

@@ -11,6 +11,7 @@ hysteresis point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
@@ -65,17 +66,24 @@ class ThermalModel:
         """
         if dt_s < 0:
             raise ConfigError("dt must be non-negative")
-        import math
+        self.temp_c, self.throttled = self.fold(self.temp_c, self.throttled,
+                                                power_w, dt_s)
+        return self.temp_c
 
+    def fold(self, temp_c: float, throttled: bool, power_w: float,
+             dt_s: float) -> tuple:
+        """One :meth:`advance` step from ``(temp_c, throttled)`` as a pure
+        function: returns the next ``(temp_c, throttled)`` and leaves the
+        model untouched (planners fold a trajectory ahead of time)."""
         target = self.steady_state_c(power_w)
         alpha = math.exp(-dt_s / self.tau_s)
-        self.temp_c = target + (self.temp_c - target) * alpha
-        if self.throttled:
-            if self.temp_c <= self.resume_temp_c:
-                self.throttled = False
-        elif self.temp_c >= self.throttle_temp_c:
-            self.throttled = True
-        return self.temp_c
+        temp_c = target + (temp_c - target) * alpha
+        if throttled:
+            if temp_c <= self.resume_temp_c:
+                throttled = False
+        elif temp_c >= self.throttle_temp_c:
+            throttled = True
+        return temp_c, throttled
 
     @property
     def freq_multiplier(self) -> float:

@@ -38,6 +38,10 @@ class DvfsCurve:
             raise ConfigError("DVFS curve needs 0 < f_min < f_max")
         if self.v_min <= 0 or self.v_max < self.v_min:
             raise ConfigError("DVFS curve needs 0 < v_min <= v_max")
+        # The normaliser of dynamic_power_ratio depends only on the
+        # (frozen) curve, so it is computed once, not on every call.
+        object.__setattr__(self, "_top",
+                           self.f_max_hz * self.voltage(self.f_max_hz) ** 2)
 
     def voltage(self, freq_hz: float) -> float:
         """Rail voltage at ``freq_hz`` (clamped to the curve's range)."""
@@ -54,5 +58,4 @@ class DvfsCurve:
         This is the factor by which a domain's *dynamic* power shrinks
         when clocked down, independent of the absolute capacitance.
         """
-        top = self.f_max_hz * self.voltage(self.f_max_hz) ** 2
-        return (freq_hz * self.voltage(freq_hz) ** 2) / top
+        return (freq_hz * self.voltage(freq_hz) ** 2) / self._top

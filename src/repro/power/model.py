@@ -100,6 +100,11 @@ class PowerModel:
         )
     )
 
+    def __post_init__(self) -> None:
+        #: power_w memo, per instance: (operating point, utilization)
+        #: -> watts.  The coefficients above are never mutated in place.
+        self._power_memo: Dict[tuple, float] = {}
+
     def breakdown(
         self, device: EdgeDevice, util: ComponentUtilization
     ) -> Dict[str, float]:
@@ -127,5 +132,19 @@ class PowerModel:
         }
 
     def power_w(self, device: EdgeDevice, util: ComponentUtilization) -> float:
-        """Total instantaneous board power in watts."""
-        return sum(self.breakdown(device, util).values())
+        """Total instantaneous board power in watts.
+
+        Memoized per operating point and utilization (the same
+        summation as :meth:`breakdown`, so results are bit-identical):
+        a serving node revisits the same few step costs at the same
+        clocks for its whole run.
+        """
+        gpu, cpu = device.gpu, device.cpu
+        key = (gpu.freq_hz, cpu.freq_hz, device.memory.freq_hz,
+               cpu.online_cores, device.idle_power_w, util.gpu_compute,
+               util.gpu_busy, util.mem_bw, util.cpu_cores_active)
+        watts = self._power_memo.get(key)
+        if watts is None:
+            watts = sum(self.breakdown(device, util).values())
+            self._power_memo[key] = watts
+        return watts

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Callable, List, Optional
 
 from repro.engine.state import EngineState
 from repro.errors import ConfigError
@@ -54,6 +54,10 @@ class PowerSampler:
         self.obs = obs
         self.obs_track = obs_track
         self.samples: List[PowerSample] = []
+        #: Called before each reading, so an engine that commits its
+        #: state lazily (the cluster node's decode fast-forward) can
+        #: bring ``state`` and the device up to the clock first.
+        self.before_sample: Optional[Callable[[], None]] = None
         self._running = False
 
     def start(self) -> None:
@@ -68,6 +72,8 @@ class PowerSampler:
         self._running = False
 
     def _take_sample(self) -> None:
+        if self.before_sample is not None:
+            self.before_sample()
         watts = self.power_model.power_w(self.device, self.state.util)
         self.samples.append(
             PowerSample(time_s=self.env.now, power_w=watts, phase=self.state.phase)
