@@ -89,6 +89,17 @@ def _fault_spec(kind, seed, n_nodes):
         thermal_rate_per_min=rates["thermal"], thermal_duration_s=6.0)
 
 
+def _workload(sc):
+    if sc["prefix"]:
+        return shared_prefix_workload(sc["rate"], sc["n"], prefix_tokens=96,
+                                      unique_tokens=32, output_tokens=48,
+                                      seed=sc["seed"])
+    reqs = multi_tenant_workload(sc["rate"], sc["n"], seed=sc["seed"])
+    for r in reqs:  # keep examples small: tier-1 runs them all
+        r.output_tokens = min(r.output_tokens, 64)
+    return reqs
+
+
 def _serve(sc, one_step, reqs=None):
     fleet = FleetSpec.of(sc["nodes"], model="phi2", precision="int8",
                          policy=sc["router"])
@@ -102,16 +113,8 @@ def _serve(sc, one_step, reqs=None):
             _fault_spec(sc["faults"], sc["seed"], len(cluster.nodes)))
         cluster.attach_injector(
             FaultInjector(cluster.env, cluster.nodes, schedule))
-    if reqs is not None:
-        pass
-    elif sc["prefix"]:
-        reqs = shared_prefix_workload(sc["rate"], sc["n"], prefix_tokens=96,
-                                      unique_tokens=32, output_tokens=48,
-                                      seed=sc["seed"])
-    else:
-        reqs = multi_tenant_workload(sc["rate"], sc["n"], seed=sc["seed"])
-        for r in reqs:  # keep examples small: tier-1 runs them all
-            r.output_tokens = min(r.output_tokens, 64)
+    if reqs is None:
+        reqs = _workload(sc)
     steps = 1 if one_step else ClusterNode._STRETCH_STEPS
     with mock.patch.object(ClusterNode, "_STRETCH_STEPS", steps):
         cluster.run(reqs)
