@@ -59,10 +59,12 @@ def scenarios(draw):
         ))
     faults = draw(st.sampled_from(
         [None, "crash", "brownout", "oom", "straggler", "thermal", "all"]))
+    routers = ["jsq", "least-kv", "energy-aware", "prefix-affinity"]
+    if n_nodes > 1:
+        routers.append("splitwise")  # prefill-only and decode-only nodes
     return {
         "nodes": nodes,
-        "router": draw(st.sampled_from(
-            ["jsq", "least-kv", "energy-aware", "prefix-affinity"])),
+        "router": draw(st.sampled_from(routers)),
         "prefix": draw(st.booleans()),
         "rate": draw(st.sampled_from([0.5, 2.0, 6.0])),
         "n": draw(st.integers(4, 14)),
