@@ -382,6 +382,7 @@ class EdgeCluster:
         for svc in self._services:
             svc.stop()
         if self.obs.enabled:
+            self.obs.drain()  # nodes' deferred decode records up to now
             self._emit_carbon_counters()
             self.obs.finish_open()
 

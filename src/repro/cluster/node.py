@@ -35,8 +35,11 @@ are applied up to the step the clock has reached when the stretch ends,
 or earlier when anything reads or mutates the node (properties,
 :meth:`submit`, faults, mode changes, the power sampler's ticks).  A
 mutation that would change the next step cuts the plan at the boundary
-of the step in progress.  Every observable is bit-identical to serving
-one step per resumption (``docs/mechanisms.md`` §16).
+of the step in progress.  On an observed node the planned steps' decode
+spans and served-token counters are deferred to the observer, which
+emits them in the one-step order before anything else it records or
+reads.  Every observable, the trace included, is bit-identical to
+serving one step per resumption (``docs/mechanisms.md`` §16).
 
 Fault surface (driven by :mod:`repro.faults`): :meth:`crash` /
 :meth:`restart` model a node death with KV-state loss, ``kv_shrink``
@@ -102,10 +105,16 @@ class _Stretch:
     their start effects (busy energy, thermal state, utilization)
     committed and ``ended`` steps their token effects; the last step's
     tokens are committed by the serve loop when it resumes.
+
+    On an observed node a multi-step stretch is also a deferred record
+    source (:meth:`~repro.obs.span.Observer.defer`): steps ``0..n-2``
+    emit their boundary records lazily, in the order the one-step loop
+    would, ``emitted`` of them so far; the serve loop emits the last.
     """
 
     __slots__ = ("batch", "bs", "tenants", "ts", "joules", "seconds", "utils",
-                 "temps", "n", "started", "ended")
+                 "temps", "n", "started", "ended", "clock", "track",
+                 "context", "counters", "emitted")
 
     def __init__(self, bs: int, start: float, step_j: float, seconds: float,
                  util: ComponentUtilization):
@@ -123,6 +132,43 @@ class _Stretch:
         #: tenant in first-appearance order.
         self.batch: List[ClusterRequest] = []
         self.tenants: Dict[str, int] = {}
+
+    def defer_records(self, node: "ClusterNode", context: int) -> None:
+        """Hand steps ``0..n-2``'s records to the node's observer."""
+        self.clock = node.env
+        self.track = node.obs_track
+        self.context = context
+        self.emitted = 0
+        #: (series, meter value before step 0, tokens per step) per
+        #: tenant in sorted order; fair-scheduler runs only, as in the
+        #: serve loop.
+        self.counters = []
+        if node.scheduler.name != "fcfs":
+            meter = node.tenant_served_tokens
+            self.counters = [
+                (kinds.served_tokens_kind(t), meter.get(t, 0),
+                 self.tenants[t]) for t in sorted(self.tenants)]
+        node.obs.defer(self, self.ts[1], self.ts[0])
+
+    def emit_deferred(self, obs: Observer):
+        """Emit step ``emitted``'s boundary records: its ``decode`` span
+        and the per-tenant served-token counters at its end."""
+        k = self.emitted
+        if k >= self.n - 1:
+            return None  # cut or crashed before this step ended
+        ts = self.ts
+        end = ts[k + 1]
+        obs.complete(kinds.DECODE, ts[k], end, cat=kinds.CAT_CLUSTER,
+                     track=self.track, batch=self.bs,
+                     context=self.context + k)
+        for series, base, per_step in self.counters:
+            obs.counter(series, base + per_step * (k + 1), track=self.track,
+                        time_s=end)
+        k += 1
+        self.emitted = k
+        if k >= self.n - 1:
+            return None
+        return ts[k + 1], ts[k]
 
 
 @dataclass
@@ -534,7 +580,12 @@ class ClusterNode:
         if not self.healthy:
             return []
         self._sync()
-        self._stretch = None  # the step in progress never lands
+        st = self._stretch
+        if st is not None:
+            # The step in progress never lands: the plan ends before it,
+            # so only the records of steps already ended still drain.
+            st.n = st.started
+            self._stretch = None
         self.healthy = False
         orphans = list(self.active) + list(self.queue)
         if self.obs.enabled:
@@ -889,18 +940,17 @@ class ClusterNode:
         times fold left from the clock (``t + seconds``, the float sum
         ``env.timeout`` makes).
 
-        One-step stretches: observed nodes (span ids follow emission
-        order), and a batch with free slots and a non-empty queue unless
-        this boundary's admission admitted nothing and found the
-        candidate KV-blocked, under a scheduler whose choice cannot move
-        per token (a counter scheduler's ``select_next`` can).  Live KV
-        only grows inside a stretch, so such a head stays blocked until
-        something cuts the stretch.
+        One-step stretches: a batch with free slots and a non-empty
+        queue unless this boundary's admission admitted nothing and
+        found the candidate KV-blocked, under a scheduler whose choice
+        cannot move per token (a counter scheduler's ``select_next``
+        can).  Live KV only grows inside a stretch, so such a head stays
+        blocked until something cuts the stretch.  On an observed node
+        the planned steps' records are deferred to the observer.
         """
         st = _Stretch(bs, self.env.now, step_j, dur, cost.util)
         batch = self.active
-        if self.obs.enabled or (
-                self.queue and len(batch) < self.max_batch
+        if (self.queue and len(batch) < self.max_batch
                 and (self.scheduler.meters_service
                      or not self._admit_blocked)):
             return st
@@ -945,6 +995,8 @@ class ClusterNode:
             st.batch = list(batch)
             for r in batch:
                 st.tenants[r.tenant] = st.tenants.get(r.tenant, 0) + 1
+            if self.obs.enabled:
+                st.defer_records(self, context)
         return st
 
     def _sync(self) -> None:
@@ -1128,7 +1180,8 @@ class ClusterNode:
                 step_j = st.joules[last]
                 self.last_busy_s = env.now
                 if self.obs.enabled:
-                    # Observed nodes serve one-step stretches.
+                    # The earlier steps' records drained through the
+                    # observer; the last step's batch may have shrunk.
                     self.obs.complete(
                         kinds.DECODE, st.ts[last], env.now,
                         cat=kinds.CAT_CLUSTER, track=self.obs_track,

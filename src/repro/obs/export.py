@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import Any, Dict, List, Tuple, Union
 
 from repro.errors import ConfigError
 from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
@@ -31,76 +31,131 @@ PathLike = Union[str, Path]
 PROMETHEUS_SUFFIXES = (".prom", ".txt")
 
 
-def _us(t: float) -> float:
-    """Seconds -> microseconds, rounded to a stable sub-ns grid."""
-    return round(t * 1e6, 3)
+_str = json.encoder.encode_basestring_ascii
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_INF = float("inf")
 
 
-class _Lanes:
-    """First-seen-order pid/tid assignment for groups and tracks."""
+def _float(x: float) -> str:
+    """A float as ``json.dumps`` spells it (NaN and the infinities too)."""
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
 
-    def __init__(self) -> None:
-        self.pids: Dict[str, int] = {}
-        self.tids: Dict[Tuple[str, str], int] = {}
 
-    def pid(self, group: str) -> int:
-        if group not in self.pids:
-            self.pids[group] = len(self.pids) + 1
-        return self.pids[group]
+def _value(v) -> str:
+    """One JSON value, byte for byte as the canonical encoder writes it."""
+    t = type(v)
+    if t is int:
+        return int.__repr__(v)
+    if t is str:
+        return _str(v)
+    if t is float:
+        return _float(v)
+    return _ENCODER.encode(v)  # bool, None, containers, subclasses
 
-    def tid(self, group: str, track: str) -> int:
-        key = (group, track)
-        if key not in self.tids:
-            self.tids[key] = sum(1 for g, _ in self.tids if g == group) + 1
-        return self.tids[key]
+
+def _object(data: dict) -> str:
+    """A ``{key: value}`` object with sorted keys."""
+    return "{" + ",".join([_str(k) + ":" + _value(v)
+                           for k, v in sorted(data.items())]) + "}"
+
+
+def chrome_trace_json(obs: Observer) -> str:
+    """The observer's records as Chrome trace-event JSON, one line.
+
+    Each event is written straight to its canonical text — the bytes
+    ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` gives
+    the same object — without building the object first.  Groups get
+    pids and (group, track) pairs per-group tids in first-seen order
+    over spans, then instants, then counters; metadata events naming
+    them lead the event list.
+    """
+    pids: Dict[str, int] = {}
+    tids: Dict[Tuple[str, str], int] = {}
+    n_tracks: Dict[str, int] = {}
+
+    def lane(group: str, track: str) -> Tuple[int, int]:
+        """(pid, tid) of a track, numbering it if new."""
+        tid = tids.get((group, track))
+        if tid is None:
+            if group not in pids:
+                pids[group] = len(pids) + 1
+            tid = tids[group, track] = n_tracks[group] = (
+                n_tracks.get(group, 0) + 1)
+        return pids[group], tid
+
+    # An event's text around its varying fields depends only on its
+    # kind, lane, name and category: render it once per combination.
+    # Times print in microseconds on a sub-ns grid.  A finite float
+    # prints as json does through str(); "x - x" is NaN (truthy) only
+    # for NaN and the infinities, which take json's spelling.
+    fixed: Dict[tuple, Any] = {}
+    events: List[str] = []
+    add = events.append
+    for span_id, parent_id, group, track, name, cat, start_s, end_s, \
+            span_args in obs.span_rows():
+        key = ("X", group, track, name, cat)
+        text = fixed.get(key)
+        if text is None:
+            pid, tid = lane(group, track)
+            text = fixed[key] = (
+                f',"cat":{_str(cat or "default")},"dur":',
+                f',"name":{_str(name)},"ph":"X","pid":{pid},"tid":{tid},'
+                f'"ts":')
+        args = dict(span_args)
+        args["span_id"] = span_id
+        if parent_id is not None:
+            args["parent_id"] = parent_id
+        ts = round(start_s * 1e6, 3)
+        dur = round((end_s - start_s) * 1e6, 3)
+        if ts - ts or dur - dur:
+            ts, dur = _float(ts), _float(dur)
+        add(f'{{"args":{_object(args)}{text[0]}{dur}{text[1]}{ts}}}')
+    for _, parent_id, group, track, name, cat, time_s, instant_args \
+            in obs.instant_rows():
+        key = ("i", group, track, name, cat)
+        text = fixed.get(key)
+        if text is None:
+            pid, tid = lane(group, track)
+            text = fixed[key] = (
+                f',"cat":{_str(cat or "default")},"name":{_str(name)},'
+                f'"ph":"i","pid":{pid},"s":"t","tid":{tid},"ts":')
+        args = dict(instant_args)
+        if parent_id is not None:
+            args["parent_id"] = parent_id
+        add(f'{{"args":{_object(args)}{text}'
+            f'{_float(round(time_s * 1e6, 3))}}}')
+    for group, track, name, time_s, value in obs.counter_rows():
+        key = ("C", group, track, name)
+        text = fixed.get(key)
+        if text is None:
+            pid, tid = lane(group, track)
+            text = fixed[key] = (
+                f'{{"args":{{{_str(track)}:',
+                f'}},"name":{_str(name)},"ph":"C","pid":{pid},"tid":{tid},'
+                f'"ts":')
+        ts = round(time_s * 1e6, 3)
+        if ts - ts or value - value:
+            ts, value = _float(ts), _float(value)
+        add(f'{text[0]}{value}{text[1]}{ts}}}')
+
+    meta = [f'{{"args":{{"name":{_str(group)}}},"name":"process_name",'
+            f'"ph":"M","pid":{pid}}}' for group, pid in pids.items()]
+    meta += [f'{{"args":{{"name":{_str(track)}}},"name":"thread_name",'
+             f'"ph":"M","pid":{pids[group]},"tid":{tid}}}'
+             for (group, track), tid in tids.items()]
+    return ('{"displayTimeUnit":"ms","traceEvents":['
+            + ",".join(meta + events) + "]}\n")
 
 
 def to_chrome_trace(obs: Observer) -> dict:
     """The observer's records as a Chrome trace-event object."""
-    lanes = _Lanes()
-    events: List[dict] = []
-    for s in obs.spans:
-        args = dict(s.args)
-        args["span_id"] = s.span_id
-        if s.parent_id is not None:
-            args["parent_id"] = s.parent_id
-        events.append({
-            "ph": "X", "name": s.name, "cat": s.cat or "default",
-            "pid": lanes.pid(s.group), "tid": lanes.tid(s.group, s.track),
-            "ts": _us(s.start_s), "dur": _us(s.end_s - s.start_s),
-            "args": args,
-        })
-    for i in obs.instants:
-        args = dict(i.args)
-        if i.parent_id is not None:
-            args["parent_id"] = i.parent_id
-        events.append({
-            "ph": "i", "s": "t", "name": i.name, "cat": i.cat or "default",
-            "pid": lanes.pid(i.group), "tid": lanes.tid(i.group, i.track),
-            "ts": _us(i.time_s), "args": args,
-        })
-    for c in obs.counters:
-        events.append({
-            "ph": "C", "name": c.name,
-            "pid": lanes.pid(c.group), "tid": lanes.tid(c.group, c.track),
-            "ts": _us(c.time_s), "args": {c.track: c.value},
-        })
-
-    meta: List[dict] = []
-    for group, pid in lanes.pids.items():
-        meta.append({"ph": "M", "name": "process_name", "pid": pid,
-                     "args": {"name": group}})
-    for (group, track), tid in lanes.tids.items():
-        meta.append({"ph": "M", "name": "thread_name",
-                     "pid": lanes.pids[group], "tid": tid,
-                     "args": {"name": track}})
-    return {"displayTimeUnit": "ms", "traceEvents": meta + events}
-
-
-def chrome_trace_json(obs: Observer) -> str:
-    """Canonical single-line JSON rendering (byte-stable)."""
-    return json.dumps(to_chrome_trace(obs), sort_keys=True,
-                      separators=(",", ":")) + "\n"
+    return json.loads(chrome_trace_json(obs))
 
 
 def write_chrome_trace(path: PathLike, obs: Observer) -> Path:
@@ -124,13 +179,13 @@ def write_spans_csv(path: PathLike, obs: Observer) -> Path:
     with out.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SPAN_CSV_HEADER)
-        for s in obs.spans:
+        for span_id, parent_id, group, track, name, cat, start_s, end_s, \
+                args in obs.span_rows():
             writer.writerow([
-                s.span_id, "" if s.parent_id is None else s.parent_id,
-                s.group, s.track, s.name, s.cat,
-                f"{s.start_s:.9f}", f"{s.end_s:.9f}",
-                f"{s.duration_s:.9f}",
-                ";".join(f"{k}={v}" for k, v in s.args),
+                span_id, "" if parent_id is None else parent_id,
+                group, track, name, cat,
+                f"{start_s:.9f}", f"{end_s:.9f}", f"{end_s - start_s:.9f}",
+                ";".join(f"{k}={v}" for k, v in args),
             ])
     return out
 

@@ -5,7 +5,9 @@ The differential property runs each sampled fleet twice — once with the
 node's stretch bound forced to one step (the step-by-step loop), once at
 the default — and demands exact equality on every per-request outcome,
 every node meter, the power-sampler trace, the throttle log and, when
-observed, the Chrome trace bytes.
+observed, the Chrome trace bytes.  Observed nodes plan multi-step
+stretches too and emit their records lazily through the observer, so
+the trace comparison covers deferred emission.
 """
 
 from unittest import mock
@@ -16,9 +18,10 @@ from hypothesis import strategies as st
 
 from repro.cluster import ClusterRequest, EdgeCluster, FleetSpec, NodeSpec
 from repro.cluster.node import ClusterNode
-from repro.cluster.workload import (multi_tenant_workload,
+from repro.cluster.workload import (TenantProfile, multi_tenant_workload,
                                     shared_prefix_workload)
 from repro.errors import ConfigError
+from repro.fairness.session import session_workload
 from repro.faults import (FaultClass, FaultEpisode, FaultInjector,
                           FaultScheduleSpec, generate_schedule,
                           schedule_from_episodes)
@@ -50,7 +53,7 @@ def scenarios(draw):
         nodes.append(NodeSpec(
             device,
             runtime=runtime,
-            scheduler=draw(st.sampled_from(["fcfs", "vtc"])),
+            scheduler=draw(st.sampled_from(["fcfs", "vtc", "wsc"])),
             power_mode=draw(st.sampled_from(modes)),
             max_batch=draw(st.integers(1, 6)),
             kv_policy=draw(st.sampled_from(
@@ -65,7 +68,7 @@ def scenarios(draw):
     return {
         "nodes": nodes,
         "router": draw(st.sampled_from(routers)),
-        "prefix": draw(st.booleans()),
+        "workload": draw(st.sampled_from(["poisson", "prefix", "sessions"])),
         "rate": draw(st.sampled_from([0.5, 2.0, 6.0])),
         "n": draw(st.integers(4, 14)),
         "seed": draw(st.integers(0, 50)),
@@ -91,8 +94,24 @@ def _fault_spec(kind, seed, n_nodes):
         thermal_rate_per_min=rates["thermal"], thermal_duration_s=6.0)
 
 
+#: Short multi-turn sessions (tier-1 runs every example).
+SESSION_TENANTS = (
+    TenantProfile("chat", weight=3.0, mean_input_tokens=48,
+                  mean_output_tokens=32),
+    TenantProfile("summarize", weight=2.0, mean_input_tokens=160,
+                  mean_output_tokens=24),
+    TenantProfile("analytics", weight=1.0, mean_input_tokens=96,
+                  mean_output_tokens=48),
+)
+
+
 def _workload(sc):
-    if sc["prefix"]:
+    if sc["workload"] == "sessions":
+        return session_workload(sc["rate"] / 2, max(2, sc["n"] // 2),
+                                tenants=SESSION_TENANTS, mean_turns=2.0,
+                                max_turns=3, mean_think_time_s=1.0,
+                                seed=sc["seed"])
+    if sc["workload"] == "prefix":
         return shared_prefix_workload(sc["rate"], sc["n"], prefix_tokens=96,
                                       unique_tokens=32, output_tokens=48,
                                       seed=sc["seed"])
@@ -102,11 +121,13 @@ def _workload(sc):
     return reqs
 
 
-def _serve(sc, one_step, reqs=None):
+def _serve(sc, one_step, reqs=None, plans=None):
+    """Serve ``sc``; ``plans`` collects (observed, steps) per stretch."""
     fleet = FleetSpec.of(sc["nodes"], model="phi2", precision="int8",
                          policy=sc["router"])
     obs = Observer() if sc["observed"] else None
-    cluster = EdgeCluster.of(fleet, observer=obs)
+    cluster = EdgeCluster.of(fleet, observer=obs,
+                             sample_period_s=sc.get("sample_period_s", 1.0))
     if sc["hot"]:
         for node in cluster.nodes:
             node.thermal = hot_thermal()
@@ -118,8 +139,20 @@ def _serve(sc, one_step, reqs=None):
     if reqs is None:
         reqs = _workload(sc)
     steps = 1 if one_step else ClusterNode._STRETCH_STEPS
-    with mock.patch.object(ClusterNode, "_STRETCH_STEPS", steps):
-        cluster.run(reqs)
+    plan = ClusterNode._plan_stretch
+
+    def spy(node, *args):
+        st = plan(node, *args)
+        if plans is not None:
+            plans.append((node.obs.enabled, st.n))
+        return st
+
+    with mock.patch.object(ClusterNode, "_STRETCH_STEPS", steps), \
+            mock.patch.object(ClusterNode, "_plan_stretch", spy):
+        if sc.get("workload") == "sessions":
+            cluster.run_interactions(reqs)
+        else:
+            cluster.run(reqs)
     return cluster
 
 
@@ -134,15 +167,57 @@ def _observables(cluster):
 
 
 class TestDifferential:
-    @settings(max_examples=60, deadline=None, derandomize=True,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(scenarios())
-    def test_stretches_match_one_step_serving(self, sc):
-        stepped = _observables(_serve(sc, one_step=True))
-        fast = _observables(_serve(sc, one_step=False))
-        assert fast[0] == stepped[0]
-        assert fast[1] == stepped[1]
-        assert fast[2] == stepped[2]
+    def test_stretches_match_one_step_serving(self):
+        plans = []
+
+        @settings(max_examples=60, deadline=None, derandomize=True,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(scenarios())
+        def check(sc):
+            stepped = _observables(_serve(sc, one_step=True))
+            fast = _observables(_serve(sc, one_step=False, plans=plans))
+            assert fast[0] == stepped[0]
+            assert fast[1] == stepped[1]
+            assert fast[2] == stepped[2]
+
+        check()
+        # The observed arm is vacuous unless observed nodes fast-forward.
+        assert any(observed and n > 1 for observed, n in plans)
+
+
+class TestTwoObservedNodes:
+    """Two observed nodes whose step boundaries interleave with each
+    other and with fast power-sampler ticks: deferred records from both
+    nodes and the sampler's counters merge into one ordered stream."""
+
+    def _serve(self, one_step, plans=None):
+        nodes = [NodeSpec(ORIN64, scheduler="vtc", max_batch=4,
+                          power_mode="MAXN"),
+                 NodeSpec(ORIN64, scheduler="vtc", max_batch=3,
+                          power_mode="A")]
+        sc = {"nodes": nodes, "router": "jsq", "hot": False,
+              "faults": None, "observed": True, "sample_period_s": 0.05}
+        reqs = multi_tenant_workload(3.0, 12, seed=4)
+        for r in reqs:
+            r.output_tokens = min(r.output_tokens, 80)
+        cluster = _serve(sc, one_step, reqs, plans)
+        return cluster, _observables(cluster)
+
+    def test_matches_one_step_serving(self):
+        plans = []
+        cluster, fast = self._serve(one_step=False, plans=plans)
+        _, stepped = self._serve(one_step=True)
+        assert fast == stepped
+        assert sum(n > 1 for _, n in plans) >= 4
+        # Deferred decode spans of the two nodes alternate in id order,
+        # with power samples between them.
+        records = sorted(
+            [(s.span_id, s.track) for s in cluster.obs.spans
+             if s.name == "decode"])
+        switches = sum(a[1] != b[1] for a, b in zip(records, records[1:]))
+        assert switches >= 10
+        power = [c for c in cluster.obs.counters if c.track == "node0"]
+        assert len(power) > 100
 
 
 class TestPressureFleet:

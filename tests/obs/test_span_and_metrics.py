@@ -1,5 +1,7 @@
 """Unit tests for the span collector and the metrics registry."""
 
+from dataclasses import astuple
+
 import pytest
 
 from repro.errors import ConfigError
@@ -7,6 +9,8 @@ from repro.obs import (
     DEFAULT_BUCKETS,
     NO_SPAN,
     NULL_OBSERVER,
+    CounterRecord,
+    InstantRecord,
     MetricsRegistry,
     Observer,
 )
@@ -109,9 +113,24 @@ class TestSpans:
         obs.instant("i")
         obs.counter("c", 1.0)
         obs.metrics.counter("n").inc()
+        assert len(obs.spans) == len(obs.instants) == len(obs.counters) == 1
         obs.clear()
         assert len(obs) == 0 and len(obs.metrics) == 0
+        assert obs.spans == [] and obs.instants == [] and obs.counters == []
         assert obs.finish_open() == 0
+
+    def test_records_are_built_from_rows_as_they_arrive(self):
+        obs = Observer()
+        obs.complete("a", 0.0, 1.0, track="t", k=1)
+        first = obs.spans
+        obs.complete("b", 1.0, 2.0, track="t")
+        obs.instant("i", time_s=0.5, k=2)
+        obs.counter("c", 3.0, time_s=0.25)
+        assert obs.spans is first and obs.spans[0] is first[0]
+        assert [s.name for s in obs.spans] == ["a", "b"]
+        assert [astuple(s) for s in obs.spans] == obs.span_rows()
+        assert obs.instants == [InstantRecord(*r) for r in obs.instant_rows()]
+        assert obs.counters == [CounterRecord("main", "main", "c", 0.25, 3.0)]
 
 
 class TestDisabledObserver:
