@@ -96,6 +96,16 @@ class RuntimeBackend:
         return self.request_kv_reservation(input_tokens, output_tokens,
                                            bytes_per_token)
 
+    def live_kv_block_tokens(self) -> int:
+        """The growth rule of :meth:`live_kv_bytes` while decoding.
+
+        ``B > 0``: a running request's live KV grows by one block of
+        ``B`` tokens' bytes exactly when ``input_tokens + generated``
+        passes a multiple of ``B``, and is otherwise constant.  ``0``
+        (default): live KV does not depend on ``generated``.
+        """
+        return 0
+
     def decode_concat_bytes(self, live_kv_bytes: float) -> float:
         """Extra DRAM traffic one decode step pays to grow the cache.
 

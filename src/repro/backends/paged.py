@@ -173,3 +173,6 @@ class PagedBackend(RuntimeBackend):
     def live_kv_bytes(self, input_tokens: int, generated: int,
                       output_tokens: int, bytes_per_token: int) -> int:
         return self._rounded(input_tokens + generated, bytes_per_token)
+
+    def live_kv_block_tokens(self) -> int:
+        return self.block_tokens

@@ -41,6 +41,14 @@ emits them in the one-step order before anything else it records or
 reads.  Every observable, the trace included, is bit-identical to
 serving one step per resumption (``docs/mechanisms.md`` §16).
 
+KV ledger: live KV is never re-summed.  The node keeps the running
+batch's private live KV and the queue's admission need as two ints,
+updated where they change (admit, retire, evict, requeue, radix pin,
+swap-in, token commits, crash); the radix tree keeps its resident block
+count likewise.  ``kv_in_use`` and ``kv_pressure`` are O(1) reads, and
+a stretch's paged-pool overflow step is found in closed form from the
+batch's token phases (:func:`kv_growth`).
+
 Fault surface (driven by :mod:`repro.faults`): :meth:`crash` /
 :meth:`restart` model a node death with KV-state loss, ``kv_shrink``
 models transient OOM pressure, :meth:`set_slowdown` models straggler
@@ -98,6 +106,34 @@ def natural_kv_budget(device: EdgeDevice, backend,
     )
 
 
+def kv_growth(block_tokens: int, block_bytes: int, token_counts: List[int],
+              room: int, n_max: int) -> List[int]:
+    """Live-KV growth of a decoding batch on a block-granular pool.
+
+    A request holding ``c`` tokens gains one block when its next token
+    arrives iff ``c % block_tokens == 0``, so from step ``k-1`` to step
+    ``k`` the batch grows by one block per member whose phase
+    ``token_counts[i] % block_tokens`` is ``(1 - k) % block_tokens``:
+    one phase count per step instead of a re-sum over the batch.
+
+    Returns ``growth`` with ``growth[k]`` the bytes the batch's live KV
+    has grown by once every member holds ``k`` more tokens, for ``k``
+    below ``n_max`` and below the first ``k`` whose growth exceeds
+    ``room`` (the step whose tokens would overflow the pool).
+    """
+    phases = [0] * block_tokens
+    for c in token_counts:
+        phases[c % block_tokens] += 1
+    growth = [0]
+    grown = 0
+    for k in range(1, n_max):
+        grown += block_bytes * phases[(1 - k) % block_tokens]
+        if grown > room:
+            break
+        growth.append(grown)
+    return growth
+
+
 class _Stretch:
     """A planned decode stretch: ``n`` steps of one fixed batch.
 
@@ -113,7 +149,7 @@ class _Stretch:
     """
 
     __slots__ = ("batch", "bs", "tenants", "ts", "joules", "seconds", "utils",
-                 "temps", "n", "started", "ended", "clock", "track",
+                 "temps", "n", "started", "ended", "growth", "clock", "track",
                  "context", "counters", "emitted")
 
     def __init__(self, bs: int, start: float, step_j: float, seconds: float,
@@ -132,6 +168,10 @@ class _Stretch:
         #: tenant in first-appearance order.
         self.batch: List[ClusterRequest] = []
         self.tenants: Dict[str, int] = {}
+        #: Set for planned stretches on a backend whose live KV grows:
+        #: ``growth[k]`` is the batch's live-KV growth (bytes) once
+        #: steps ``0..k-1`` have committed their tokens.
+        self.growth: Optional[List[int]] = None
 
     def defer_records(self, node: "ClusterNode", context: int) -> None:
         """Hand steps ``0..n-2``'s records to the node's observer."""
@@ -286,6 +326,16 @@ class ClusterNode:
         self._kv_per_token = (
             arch.kv_cache_spec().bytes_per_token_per_layer * arch.n_layers
         )
+        #: The backend's live-KV growth rule: a running request gains
+        #: one block of ``_kv_block_bytes`` whenever its token count
+        #: passes a multiple of ``_kv_block_tokens`` (0: no growth).
+        self._kv_block_tokens = self.backend.live_kv_block_tokens()
+        self._kv_block_bytes = self._kv_block_tokens * self._kv_per_token
+        #: The KV ledger: ``sum(_kv_live(r) for r in active)`` and
+        #: ``sum(_kv_need(r) for r in queue)``, kept exact by every site
+        #: that changes either sum.
+        self._kv_private = 0
+        self._kv_queued = 0
 
         #: KV lifecycle policy (repro.kvtier): what happens to preempted
         #: requests' caches.  The default sacrifice/lifo/conservative is
@@ -301,8 +351,8 @@ class ClusterNode:
         #: participate, so other configurations see an empty tree.
         self.radix: Optional[RadixPrefixCache] = None
         if self.backend.admits_by_free_blocks and self.role != "decode":
-            bt = getattr(self.backend, "block_tokens", 16)
-            self.radix = RadixPrefixCache(bt, bt * self._kv_per_token)
+            self.radix = RadixPrefixCache(self._kv_block_tokens,
+                                          self._kv_block_bytes)
         #: Swap-out bus time accrued outside the serve loop, billed (with
         #: mem-bound energy) at the next loop iteration.
         self._pending_transfer_s = 0.0
@@ -428,17 +478,13 @@ class ClusterNode:
         return self.backend.request_kv_reservation(
             r.input_tokens, out, self._kv_per_token)
 
-    def _kv_live(self, r: ClusterRequest, generated: Optional[int] = None
-                 ) -> int:
+    def _kv_live(self, r: ClusterRequest) -> int:
         """KV bytes ``r`` holds privately right now (grows per token
-        under paged), or after ``generated`` tokens if given.  Prompt
-        blocks living in the radix tree are charged once through the
-        tree, not per sharer."""
+        under paged).  Prompt blocks living in the radix tree are
+        charged once through the tree, not per sharer."""
         out = 0 if self.role == "prefill" else r.output_tokens
-        if generated is None:
-            generated = r.generated
         live = self.backend.live_kv_bytes(
-            r.input_tokens, generated, out, self._kv_per_token)
+            r.input_tokens, r.generated, out, self._kv_per_token)
         if self.radix is not None and self.radix.holds(r.req_id):
             bt = self.radix.block_tokens
             live -= self.kv_bytes((r.input_tokens // bt) * bt)
@@ -447,18 +493,16 @@ class ClusterNode:
     @property
     def kv_in_use(self) -> int:
         self._sync()
-        total = sum(self._kv_live(r) for r in self.active)
-        if self.radix is not None:
-            # Tree-resident prompt blocks (shared and retained-after-
-            # completion alike) occupy the pool once.
-            total += self.radix.resident_bytes
-        return total
+        if self.radix is None:
+            return self._kv_private
+        # Tree-resident prompt blocks (shared and retained-after-
+        # completion alike) occupy the pool once.
+        return self._kv_private + self.radix.resident_bytes
 
     @property
     def kv_pressure(self) -> float:
         """Committed KV (running + queued) over budget; can exceed 1."""
-        queued = sum(self._kv_need(r) for r in self.queue)
-        return (self.kv_in_use + queued) / self.kv_budget
+        return (self.kv_in_use + self._kv_queued) / self.kv_budget
 
     @property
     def depth(self) -> int:
@@ -491,6 +535,7 @@ class ClusterNode:
             self._sync()  # fair schedulers read live counters on arrival
         r.node_id = self.node_id
         self.queue.append(r)
+        self._kv_queued += self._kv_need(r)
         self.scheduler.on_arrival(r, self.env.now)
         if self.obs.enabled:
             r.queue_span = self.obs.begin(
@@ -613,6 +658,7 @@ class ClusterNode:
             self.radix.clear()
         self.active.clear()
         self.queue.clear()
+        self._kv_private = self._kv_queued = 0
         self.scheduler.on_flush()
         self.state.set_idle()
         self._wake = None
@@ -683,7 +729,7 @@ class ClusterNode:
             victim = policy.select_victim(self.active)
             if victim is None:  # pragma: no cover - active implies one
                 break
-            self.active.remove(victim)
+            self._retire(victim)
             self._drop_radix_pin(victim)
             evicted.append(victim)
         if evicted:
@@ -713,6 +759,7 @@ class ClusterNode:
             # admitted once); the depth cap only gates *new* arrivals.
             self.queue[0:0] = requeue
             for r in requeue:
+                self._kv_queued += self._kv_need(r)
                 self.scheduler.on_arrival(r, self.env.now)
             if self.obs.enabled:
                 for r in requeue:
@@ -727,6 +774,12 @@ class ClusterNode:
                     for r in hopeless:
                         r.rejected = True
         return evicted
+
+    def _retire(self, r: ClusterRequest) -> None:
+        """Take ``r`` out of the running batch and off the ledger (its
+        radix pin, if any, is the caller's to drop afterwards)."""
+        self.active.remove(r)
+        self._kv_private -= self._kv_live(r)
 
     def _drop_radix_pin(self, r: ClusterRequest) -> None:
         """Unpin ``r``'s prompt path (the tree keeps it, reclaimable)."""
@@ -893,8 +946,10 @@ class ClusterNode:
                 blocked = True
                 break
             r = self.queue.pop(idx)
+            self._kv_queued -= need
             self.scheduler.on_dequeue(r)
             self.active.append(r)
+            self._kv_private += self._kv_live(r)
             admitted.append(r)
             if self.obs.enabled:
                 if idx:
@@ -960,19 +1015,22 @@ class ClusterNode:
             return st
         ts, joules, seconds = st.ts, st.joules, st.seconds
         utils, temps = st.utils, st.temps
-        paged = self.backend.admits_by_free_blocks
-        if paged:
-            budget = self.kv_budget
-            tree = self.radix.resident_bytes if self.radix is not None else 0
+        bt = self._kv_block_tokens
+        if bt:
+            # Against the free pool bytes (the batch is the whole
+            # running set); only a paged pool grows, so only it can
+            # overflow mid-stretch.
+            st.growth = kv_growth(
+                bt, self._kv_block_bytes,
+                [r.input_tokens + r.generated for r in batch],
+                self.kv_budget - self.kv_in_use, n_max)
+            n_max = len(st.growth)  # stop before an overflowing step
         timer, backend, power_w = self.timer, self.backend, self.power_model.power_w
         device, thermal, slowdown = self.device, self.thermal, self._slowdown
         kv_per_token = self._kv_per_token
         temp, throttled = thermal.temp_c, thermal.throttled
         t = ts[1]
         for k in range(1, n_max):
-            if paged and tree + sum(
-                    self._kv_live(r, r.generated + k) for r in batch) > budget:
-                break  # step k-1's growth preempts at its boundary
             ctx = context + k
             cost = timer.decode_step(
                 bs, ctx,
@@ -1049,6 +1107,8 @@ class ClusterNode:
             for tenant, count in st.tenants.items():
                 tenant_tokens[tenant] = (tenant_tokens.get(tenant, 0)
                                          + count * steps)
+            if st.growth is not None:
+                self._kv_private += st.growth[end] - st.growth[first]
             self._served_tokens += bs * steps
             self.last_busy_s = t_last
             st.ended = end
@@ -1096,8 +1156,15 @@ class ClusterNode:
                         swap_start = env.now
                         yield env.timeout(dur)
                         self.last_busy_s = env.now
+                        # A shrink during this round's transfers may have
+                        # evicted r back to the queue: keep its need there.
+                        queued = not any(a is r for a in self.active)
+                        if queued:
+                            self._kv_queued -= self._kv_need(r)
                         r.kv_state = "resident"
                         r.swapped_kv_bytes = 0
+                        if queued:
+                            self._kv_queued += self._kv_need(r)
                         r.swap_ins += 1
                         if self.obs.enabled:
                             self.obs.complete(
@@ -1111,10 +1178,18 @@ class ClusterNode:
                         continue  # prompt KV arrives via the transfer link
                     hit = 0
                     if self.radix is not None and r.prompt_ids is not None:
+                        # The pin moves r's whole prompt blocks from its
+                        # private charge to the tree (unless a shrink
+                        # during this round already evicted r).
+                        running = any(a is r for a in self.active)
+                        if running:
+                            self._kv_private -= self._kv_live(r)
                         if self.radix.holds(r.req_id):
                             self.radix.release(r.req_id)  # replay re-match
                         hit = self.radix.insert(
                             r.req_id, r.prompt_ids, env.now)
+                        if running:
+                            self._kv_private += self._kv_live(r)
                         r.prefix_cached_tokens = hit
                         if hit and self.obs.enabled:
                             self.obs.instant(
@@ -1140,7 +1215,7 @@ class ClusterNode:
                             cat=kinds.CAT_CLUSTER, track=self.obs_track,
                             req=r.req_id, tokens=prefill_tokens)
                     if self.role == "prefill":
-                        self.active.remove(r)
+                        self._retire(r)
                         self._drop_radix_pin(r)
                         if self.on_prefill_done is not None:
                             self.on_prefill_done(r)
@@ -1193,7 +1268,11 @@ class ClusterNode:
                 tenant_tokens = self._tenant_served_tokens
                 now = env.now
                 share = step_j / bs
+                bt = self._kv_block_tokens
                 for r in list(self.active):
+                    if bt and (r.input_tokens + r.generated) % bt == 0:
+                        # This token opens a new block.
+                        self._kv_private += self._kv_block_bytes
                     r.generated += 1
                     r.last_token_s = now
                     r.energy_j += share
@@ -1206,7 +1285,7 @@ class ClusterNode:
                         r.first_token_s = now
                     if r.generated >= r.output_tokens:
                         r.finish_s = now
-                        self.active.remove(r)
+                        self._retire(r)
                         # The prompt path stays in the radix tree for
                         # future arrivals; only the pin is dropped.
                         self._drop_radix_pin(r)

@@ -202,9 +202,9 @@ class PrefixAffinityRouter(Router):
         if not ok:
             return None
         iid = getattr(request, "interaction_id", None)
-        best = max(ok, key=lambda n: (self._hit_tokens(request, n),
-                                      -n.node_id))
-        if self._hit_tokens(request, best) <= 0:
+        hit, best = max(((self._hit_tokens(request, n), n) for n in ok),
+                        key=lambda p: (p[0], -p[1].node_id))
+        if hit <= 0:
             best = None
             if iid is not None and iid in self._session_node:
                 home = self._session_node[iid]

@@ -74,15 +74,19 @@ class RadixPrefixCache:
         self._root.refs = 1  # never evicted
         #: owner -> deepest pinned node (the whole path holds one ref each).
         self._pins: Dict[int, _Node] = {}
+        #: Whole blocks the tree holds: ``insert`` adds the new edge's,
+        #: ``reclaim`` subtracts the victim's, ``clear`` zeroes; a split
+        #: keeps the sum (the two halves complete the original edge's
+        #: blocks between them).
+        self._blocks = 0
         self.stats = RadixStats()
 
     # -- accounting -----------------------------------------------------------
     @property
     def resident_blocks(self) -> int:
-        return sum(n.full_blocks(self.block_tokens)
-                   for n in self._iter_nodes())
         # Partial trailing blocks belong to the owning request's own
         # allocation, not the shared pool.
+        return self._blocks
 
     @property
     def resident_bytes(self) -> int:
@@ -102,7 +106,7 @@ class RadixPrefixCache:
     def match(self, tokens: Sequence[int], now: float) -> int:
         """Longest cached prefix of ``tokens``, in tokens (not pinned)."""
         self.stats.lookups += 1
-        node, matched = self._walk(tokens)
+        node, matched = self._walk(tuple(tokens))
         while node is not None and node is not self._root:
             node.last_hit = now
             node = node.parent
@@ -146,6 +150,7 @@ class RadixPrefixCache:
         if matched < len(toks):
             child = _Node(toks[matched:], matched, node)
             node.children[child.tokens[0]] = child
+            self._blocks += child.full_blocks(self.block_tokens)
             self.stats.inserted_tokens += len(child.tokens)
             node = child
         node.last_hit = now
@@ -175,6 +180,7 @@ class RadixPrefixCache:
             victim = min(victims, key=lambda n: (n.last_hit, n.start))
             del victim.parent.children[victim.tokens[0]]
             blocks = victim.full_blocks(self.block_tokens)
+            self._blocks -= blocks
             freed += blocks * self.block_bytes
             self.stats.evicted_blocks += blocks
         return freed
@@ -183,6 +189,7 @@ class RadixPrefixCache:
         """Drop the whole tree (node crash: device KV is gone)."""
         self._root.children.clear()
         self._pins.clear()
+        self._blocks = 0
 
     # -- internals ------------------------------------------------------------
     def _pin(self, owner: int, node: _Node) -> None:
@@ -204,14 +211,15 @@ class RadixPrefixCache:
             child = node.children.get(tokens[matched])
             if child is None:
                 return node, matched
+            edge = len(child.tokens)
+            if tokens[matched:matched + edge] == child.tokens:
+                node, matched = child, matched + edge
+                continue
+            # Partial edge match: the first ``run`` tokens are cached too.
             run = 0
-            limit = min(len(child.tokens), len(tokens) - matched)
+            limit = min(edge, len(tokens) - matched)
             while run < limit and child.tokens[run] == tokens[matched + run]:
                 run += 1
-            if run == len(child.tokens):
-                node, matched = child, matched + run
-                continue
-            # Partial edge match: those ``run`` tokens are cached too.
             matched += run
             if split:
                 return self._split(child, run), matched

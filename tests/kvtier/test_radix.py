@@ -1,6 +1,8 @@
 """RadixPrefixCache: matching, pinning, COW splits, LRU reclamation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.kvtier import RadixPrefixCache
@@ -131,3 +133,63 @@ class TestReclaim:
         assert c.resident_blocks == 0
         assert not c.holds(1)
         assert c.match(tuple(range(8)), now=1.0) == 0
+
+
+#: Prompts that share a prefix of ``cut`` tokens (often mid-block) and
+#: then diverge into one of a few tails, so inserts split edges.
+prompts = st.builds(
+    lambda cut, tail, length: toks(range(cut),
+                                   range(1000 * tail, 1000 * tail + length)),
+    st.integers(0, 13), st.integers(1, 3), st.integers(0, 9))
+
+ops = st.lists(st.one_of(
+    st.tuples(st.just("insert"), st.integers(0, 5), prompts),
+    st.tuples(st.just("release"), st.integers(0, 5)),
+    st.tuples(st.just("reclaim"), st.integers(0, 6 * BB)),
+    st.tuples(st.just("clear")),
+    st.tuples(st.just("match"), prompts),
+), max_size=40)
+
+
+def walked_blocks(c):
+    return sum(n.full_blocks(BT) for n in c._iter_nodes())
+
+
+class TestBlockCounter:
+    """The maintained block counter equals a walk of the tree after any
+    sequence of inserts (splits included), releases, reclaims and
+    clears."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(ops)
+    def test_counter_matches_tree_walk(self, seq):
+        c = cache()
+        now = 0.0
+        for op in seq:
+            now += 1.0
+            if op[0] == "insert":
+                _, owner, prompt = op
+                if c.holds(owner):
+                    c.release(owner)
+                c.insert(owner, prompt, now)
+            elif op[0] == "release":
+                c.release(op[1])
+            elif op[0] == "reclaim":
+                before = c.resident_blocks
+                freed = c.reclaim(op[1], now)
+                assert before - c.resident_blocks == freed // BB
+            elif op[0] == "clear":
+                c.clear()
+            else:
+                c.match(op[1], now)
+            assert c.resident_blocks == walked_blocks(c)
+            assert c.resident_bytes == c.resident_blocks * BB
+
+    def test_whole_edge_and_partial_walks_agree_with_peek(self):
+        c = cache()
+        c.insert(1, toks(range(10)), now=0.0)
+        c.insert(2, toks(range(6), [50, 51]), now=1.0)  # split at 6
+        assert c.peek(toks(range(10))) == 10     # two whole edges
+        assert c.peek(toks(range(8))) == 8       # ends inside an edge
+        assert c.peek(toks(range(6), [50])) == 7
+        assert c.peek(list(range(12))) == 10     # longer than the tree
