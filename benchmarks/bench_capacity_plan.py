@@ -10,7 +10,7 @@ evidence:
   least :data:`~repro.plan.DEFAULT_PASS_FRACTION` of cells keep both
   steady throughput and mean request latency within
   :data:`~repro.plan.DEFAULT_TOLERANCE` relative error of the DES.  The
-  CSV is written via :func:`~repro.plan.validation_rows_csv`, the same
+  CSV is written via :meth:`~repro.core.grid.GridReport.csv`, the same
   canonical bytes ``repro plan --validate --csv`` emits, so CI can
   byte-diff a fresh run against this committed artifact.
 - **Capacity search** — the default :class:`~repro.plan.PlanSpec`
@@ -21,7 +21,7 @@ evidence:
 import time
 
 from repro.plan import (DEFAULT_PASS_FRACTION, PlanSpec, ValidationSpec,
-                        plan, run_validation, validation_rows_csv)
+                        plan, run_validation)
 from repro.reporting import format_table, plan_table
 
 VALIDATION_SPEC = ValidationSpec()  # 4 workloads x 3 routers x 3 runtimes
@@ -41,8 +41,7 @@ def test_fluid_model_tracks_the_des(benchmark, emit, results_dir):
     emit("plan_validation", text)
     # The canonical CSV bytes (identical to `repro plan --validate
     # --csv`), not write_csv's DictWriter output — CI byte-diffs this.
-    (results_dir / "plan_validation.csv").write_text(
-        validation_rows_csv(report))
+    (results_dir / "plan_validation.csv").write_text(report.csv())
 
     assert report.within_fraction >= DEFAULT_PASS_FRACTION
     # Both metrics exist in every cell and the DES actually ran.

@@ -17,7 +17,7 @@ The kvtier subsystem's committed evidence (extension beyond the paper):
 
 import dataclasses
 
-from repro.kvtier import KvTierSpec, run_kvtier, sweep_rows_csv
+from repro.kvtier import KvTierSpec, run_kvtier
 from repro.reporting import format_table
 
 #: Fraction of the natural KV budget kept: none / moderate / heavy
@@ -98,4 +98,4 @@ def test_prefix_share_cuts_ttft(benchmark, emit):
 
     # The CI determinism gate, asserted in-bench too: same spec, same
     # bytes.
-    assert sweep_rows_csv(report) == sweep_rows_csv(run_kvtier(PREFIX_SPEC))
+    assert report.csv() == run_kvtier(PREFIX_SPEC).csv()

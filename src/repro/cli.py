@@ -46,6 +46,24 @@ from typing import List, Optional
 from repro.errors import ReproError
 
 
+def _csv_list(text: str, cast=str) -> tuple:
+    """Parse a comma-separated option value, dropping empty items."""
+    return tuple(cast(v.strip()) for v in text.split(",") if v.strip())
+
+
+def _emit_grid(report, csv_path: Optional[str], *notes: str) -> int:
+    """Print a grid sweep's table, notes and cache key; write its CSV."""
+    print(report.table())
+    for note in notes:
+        print(note)
+    print(f"cache_key={report.spec.cache_key()}")
+    if csv_path:
+        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(report.csv())
+        print(f"wrote {csv_path}")
+    return 0
+
+
 def _add_obs_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace-out", default=None, metavar="FILE",
                         help="write a Chrome trace-event JSON "
@@ -202,7 +220,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     )
     from repro.reporting import format_table, write_csv
 
-    devices = [d.strip() for d in args.devices.split(",") if d.strip()]
+    devices = _csv_list(args.devices)
     specs = [NodeSpec(d, max_batch=args.max_batch, kv_policy=args.kv_policy,
                       kv_trigger=args.kv_trigger) for d in devices]
     slo = SLOSpec(ttft_s=args.ttft_slo, tpot_s=args.tpot_slo)
@@ -245,9 +263,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults import ChaosSpec, FaultScheduleSpec, run_chaos
     from repro.reporting import format_table, write_csv
 
-    devices = [d.strip() for d in args.devices.split(",") if d.strip()]
+    devices = _csv_list(args.devices)
     spec = ChaosSpec(
-        devices=tuple(devices),
+        devices=devices,
         model=args.model,
         precision=args.precision,
         policy=args.policy,
@@ -292,10 +310,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_kvtier(args: argparse.Namespace) -> int:
-    from repro.kvtier import KvTierSpec, run_kvtier, sweep_rows_csv
-
-    def _floats(text: str) -> tuple:
-        return tuple(float(v) for v in text.split(",") if v.strip())
+    from repro.kvtier import KvTierSpec, run_kvtier
 
     spec = KvTierSpec(
         device=args.device,
@@ -309,38 +324,26 @@ def _cmd_kvtier(args: argparse.Namespace) -> int:
         output_tokens=args.output_tokens,
         max_batch=args.max_batch,
         kv_budget_frac=args.kv_budget_frac,
-        policies=tuple(p.strip() for p in args.policies.split(",")
-                       if p.strip()),
-        triggers=_floats(args.triggers),
-        share_ratios=_floats(args.share_ratios),
+        policies=_csv_list(args.policies),
+        triggers=_csv_list(args.triggers, float),
+        share_ratios=_csv_list(args.share_ratios, float),
         seed=args.seed,
     )
-    report = run_kvtier(spec)
-    print(report.table())
-    print(f"cache_key={spec.cache_key()}")
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write(sweep_rows_csv(report))
-        print(f"wrote {args.csv}")
-    return 0
+    return _emit_grid(run_kvtier(spec), args.csv)
 
 
 def _cmd_fairness(args: argparse.Namespace) -> int:
-    from repro.fairness import (FairnessSpec, fairness_rows_csv,
-                                run_fairness)
-
-    def _names(text: str) -> tuple:
-        return tuple(v.strip() for v in text.split(",") if v.strip())
+    from repro.fairness import FairnessSpec, run_fairness
 
     spec = FairnessSpec(
         device=args.device,
         model=args.model,
         precision=args.precision,
-        runtimes=_names(args.runtimes),
-        kv_policies=_names(args.kv_policies),
-        schedulers=_names(args.schedulers),
-        mixes=_names(args.mixes),
-        power_modes=_names(args.power_modes),
+        runtimes=_csv_list(args.runtimes),
+        kv_policies=_csv_list(args.kv_policies),
+        schedulers=_csv_list(args.schedulers),
+        mixes=_csv_list(args.mixes),
+        power_modes=_csv_list(args.power_modes),
         routing=args.routing,
         rate_per_s=args.rate,
         n_interactions=args.interactions,
@@ -352,32 +355,22 @@ def _cmd_fairness(args: argparse.Namespace) -> int:
         slo_ttft_s=args.slo_ttft,
         seed=args.seed,
     )
-    report = run_fairness(spec)
-    print(report.table())
-    print(f"cache_key={spec.cache_key()}")
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write(fairness_rows_csv(report))
-        print(f"wrote {args.csv}")
-    return 0
+    return _emit_grid(run_fairness(spec), args.csv)
 
 
 def _cmd_sustain(args: argparse.Namespace) -> int:
-    from repro.sustain import SustainSpec, run_sustain, sustain_rows_csv
-
-    def _names(text: str) -> tuple:
-        return tuple(v.strip() for v in text.split(",") if v.strip())
+    from repro.sustain import SustainSpec, run_sustain
 
     spec = SustainSpec(
-        devices=_names(args.devices),
+        devices=_csv_list(args.devices),
         model=args.model,
         precision=args.precision,
         slm_model=args.slm_model,
         slm_precision=args.slm_precision,
-        scenarios=_names(args.scenarios),
-        routers=_names(args.routers),
-        cascades=_names(args.cascades),
-        power_modes=_names(args.power_modes),
+        scenarios=_csv_list(args.scenarios),
+        routers=_csv_list(args.routers),
+        cascades=_csv_list(args.cascades),
+        power_modes=_csv_list(args.power_modes),
         gate=args.gate,
         rate_per_s=args.rate,
         n_requests=args.requests,
@@ -388,52 +381,35 @@ def _cmd_sustain(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         seed=args.seed,
     )
-    report = run_sustain(spec)
-    print(report.table())
-    print(f"cache_key={spec.cache_key()}")
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write(sustain_rows_csv(report))
-        print(f"wrote {args.csv}")
-    return 0
+    return _emit_grid(run_sustain(spec), args.csv)
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    from repro.plan import (PlanSpec, ValidationSpec, plan, run_validation,
-                            validation_rows_csv)
+    from repro.plan import PlanSpec, ValidationSpec, plan, run_validation
     from repro.reporting import format_table, plan_table
-
-    def _names(text: str) -> tuple:
-        return tuple(v.strip() for v in text.split(",") if v.strip())
 
     if args.validate:
         vspec = ValidationSpec(
             model=args.model, device=args.device,
-            precision=_names(args.precisions)[0],
-            power_mode=_names(args.power_modes)[0],
+            precision=_csv_list(args.precisions)[0],
+            power_mode=_csv_list(args.power_modes)[0],
             nodes=args.validate_nodes, n_requests=args.validate_requests,
             input_tokens=args.input_tokens,
             output_tokens=args.output_tokens, max_batch=args.max_batch,
-            runtimes=_names(args.runtimes), seed=args.seed,
+            runtimes=_csv_list(args.runtimes), seed=args.seed,
         )
         report = run_validation(vspec)
-        print(report.table())
-        print(f"within_tolerance={report.within_fraction:.3f} "
-              f"(tolerance={vspec.tolerance})")
-        print(f"cache_key={vspec.cache_key()}")
-        if args.csv:
-            with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-                fh.write(validation_rows_csv(report))
-            print(f"wrote {args.csv}")
-        return 0
+        return _emit_grid(report, args.csv,
+                          f"within_tolerance={report.within_fraction:.3f} "
+                          f"(tolerance={vspec.tolerance})")
 
     spec = PlanSpec(
         model=args.model, device=args.device, rate_per_s=args.rate,
         input_tokens=args.input_tokens, output_tokens=args.output_tokens,
         slo_ttft_s=args.slo_ttft, slo_tpot_s=args.slo_tpot,
-        slo_e2e_s=args.slo_e2e, runtimes=_names(args.runtimes),
-        precisions=_names(args.precisions),
-        power_modes=_names(args.power_modes), max_nodes=args.max_nodes,
+        slo_e2e_s=args.slo_e2e, runtimes=_csv_list(args.runtimes),
+        precisions=_csv_list(args.precisions),
+        power_modes=_csv_list(args.power_modes), max_nodes=args.max_nodes,
         max_batch=args.max_batch, max_utilization=args.max_utilization,
         carbon_gco2_per_kwh=args.carbon_gco2,
     )
@@ -463,8 +439,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
     cache = None
     if args.cache:
         cache = ResultCache(args.cache_dir or default_cache_dir())
-    models = ([m.strip() for m in args.models.split(",") if m.strip()]
-              if args.models else None)
+    models = _csv_list(args.models) if args.models else None
     spec = StudySpec.of(
         models,
         n_runs=args.runs,
@@ -512,8 +487,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.core.profile import default_profile_specs, profile_specs
 
-    models = ([m.strip() for m in args.models.split(",") if m.strip()]
-              if args.models else None)
+    models = _csv_list(args.models) if args.models else None
     specs = default_profile_specs(models, n_runs=args.runs)
     report = profile_specs(specs, fast_forward=not args.per_token,
                            top=args.top)

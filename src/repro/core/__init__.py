@@ -10,6 +10,8 @@
   table/figure's data in one call (``jobs=N`` for process fan-out).
 - :mod:`repro.core.cache` — content-addressed on-disk result cache.
 - :mod:`repro.core.parallel` — deterministic process-pool spec runner.
+- :mod:`repro.core.grid` — the sweep engine the fleet grids share
+  (product order, aligned table, canonical CSV, versioned spec keys).
 """
 
 from repro.core.cache import (

@@ -17,23 +17,19 @@ several tenants want it.  It follows the FAIRSERVE decomposition:
 """
 
 from repro.fairness.accounting import (TenantLedger, build_ledger,
-                                       conservation_violations)
+                                       check_books, conservation_violations)
 from repro.fairness.scheduler import (FAIRNESS_VERSION, FairScheduler,
                                       FCFSScheduler, VTCScheduler,
                                       WSCScheduler, get_fair_scheduler,
                                       list_fair_schedulers)
 from repro.fairness.session import (Interaction, SessionTurn,
                                     session_requests, session_workload)
-from repro.fairness.sweep import (TENANT_MIXES, FairnessReport,
-                                  FairnessSpec, fairness_rows_csv,
-                                  run_fairness)
+from repro.fairness.sweep import TENANT_MIXES, FairnessSpec, run_fairness
 from repro.fairness.throttle import TenantBucket, TokenThrottle
 
 __all__ = [
-    "FairnessReport",
     "FairnessSpec",
     "TENANT_MIXES",
-    "fairness_rows_csv",
     "run_fairness",
     "FAIRNESS_VERSION",
     "FCFSScheduler",
@@ -46,6 +42,7 @@ __all__ = [
     "VTCScheduler",
     "WSCScheduler",
     "build_ledger",
+    "check_books",
     "conservation_violations",
     "get_fair_scheduler",
     "list_fair_schedulers",

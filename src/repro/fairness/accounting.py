@@ -24,14 +24,17 @@ Throttled requests are rejected before placement and must satisfy
 ``produced == 0``; their turned-away demand lands in
 ``throttled_tokens``, closing the books: demand in equals service out
 plus waste plus throttled-away, per tenant.
-:func:`conservation_violations` checks all of it and is asserted in
-tests and the fairness sweep.
+:func:`conservation_violations` checks all of it;
+:func:`check_books` raises on any violation and is what the fairness
+and sustain sweeps call after every run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
+
+from repro.errors import ExperimentError
 
 FrozenIds = frozenset
 
@@ -178,3 +181,25 @@ def conservation_violations(
                 f"fleet: ledger production {produced} != node production "
                 f"meters {node_served_tokens}")
     return out
+
+
+def check_books(
+    requests: Sequence,
+    node_served_tokens: int,
+    abandoned_interactions: FrozenIds = frozenset(),
+    slo_met: Optional[Callable] = None,
+    weights: Optional[Mapping[str, float]] = None,
+) -> None:
+    """Build the ledgers; raise unless every book balances.
+
+    The arguments are those of :func:`build_ledger`, plus the fleet's
+    production meter sum for the fleet-wide check.  Raises
+    :class:`~repro.errors.ExperimentError` listing every violation.
+    """
+    ledgers = build_ledger(requests, abandoned_interactions,
+                           slo_met=slo_met, weights=weights)
+    violations = conservation_violations(
+        ledgers, node_served_tokens=node_served_tokens)
+    if violations:
+        raise ExperimentError(
+            "token books do not balance: " + "; ".join(violations))

@@ -14,8 +14,9 @@ FCFS lets the flood starve them, VTC/WSC do not, and the per-tenant
 ``jain_tokens`` column shows the gap.
 
 Every row's token books are conservation-checked
-(:func:`~repro.fairness.accounting.conservation_violations`) and the
-whole grid is content-addressed (:func:`FairnessSpec.cache_key` folds
+(:func:`~repro.fairness.accounting.check_books`); the grid runs on
+:mod:`repro.core.grid` and is content-addressed
+(:func:`FairnessSpec.cache_key` folds
 :data:`~repro.fairness.scheduler.FAIRNESS_VERSION`) and
 bit-reproducible — the CI smoke job runs the sweep twice and diffs the
 CSV byte-for-byte.
@@ -23,12 +24,11 @@ CSV byte-for-byte.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.core.cache import payload_fingerprint
-from repro.errors import ConfigError, ExperimentError
+from repro.core.grid import GridReport, run_grid, versioned_key
+from repro.errors import ConfigError
 from repro.fairness.scheduler import FAIRNESS_VERSION, get_fair_scheduler
 
 #: Named tenant mixes the sweep draws sessions from.  Profile weights
@@ -138,29 +138,7 @@ class FairnessSpec:
 
     def cache_key(self) -> str:
         """Content address folding the fairness semantics version."""
-        payload = dataclasses.asdict(self)
-        payload["fairness_version"] = FAIRNESS_VERSION
-        return payload_fingerprint(payload)
-
-
-@dataclass
-class FairnessReport:
-    """All sweep rows for one spec (deterministic row order)."""
-
-    spec: FairnessSpec
-    rows: List[Dict] = dataclasses.field(default_factory=list)
-
-    def table(self) -> str:
-        """Aligned text table of the rows (stable formatting)."""
-        if not self.rows:
-            return ""
-        cols = list(self.rows[0])
-        widths = {c: max(len(c), *(len(str(r[c])) for r in self.rows))
-                  for c in cols}
-        lines = ["  ".join(c.ljust(widths[c]) for c in cols)]
-        for r in self.rows:
-            lines.append("  ".join(str(r[c]).ljust(widths[c]) for c in cols))
-        return "\n".join(lines)
+        return versioned_key(self, "fairness_version", FAIRNESS_VERSION)
 
 
 def _weight_fidelity(requests, weights: Dict[str, float]) -> float:
@@ -192,12 +170,11 @@ def _weight_fidelity(requests, weights: Dict[str, float]) -> float:
     return min(per_weight) / max(per_weight) if max(per_weight) > 0 else 0.0
 
 
-def _run_point(spec: FairnessSpec, scheduler: str, mix: str,
-               runtime: str, kv_policy: str, power_mode: str) -> Dict:
+def _run_point(spec: FairnessSpec, mix: str, runtime: str, kv_policy: str,
+               power_mode: str, scheduler: str) -> Dict:
     from repro.cluster import EdgeCluster, FleetSpec, NodeSpec
     from repro.cluster.slo import SLOSpec
-    from repro.fairness.accounting import (build_ledger,
-                                           conservation_violations)
+    from repro.fairness.accounting import check_books
     from repro.fairness.session import session_workload
     from repro.fairness.throttle import TokenThrottle
 
@@ -228,15 +205,10 @@ def _run_point(spec: FairnessSpec, scheduler: str, mix: str,
     report = cluster.run_interactions(interactions)
     abandoned = frozenset(i.interaction_id for i in interactions
                           if i.abandoned)
-    ledgers = build_ledger(cluster.last_requests, abandoned,
-                           slo_met=cluster.slo.met, weights=weights)
-    meters = sum(sum(n.tenant_served_tokens.values())
-                 for n in cluster.nodes)
-    violations = conservation_violations(ledgers,
-                                         node_served_tokens=meters)
-    if violations:
-        raise ExperimentError(
-            "token books do not balance: " + "; ".join(violations))
+    check_books(cluster.last_requests,
+                sum(sum(n.tenant_served_tokens.values())
+                    for n in cluster.nodes),
+                abandoned, slo_met=cluster.slo.met, weights=weights)
     fidelity = _weight_fidelity(cluster.last_requests, weights)
     return {
         "scheduler": scheduler,
@@ -260,26 +232,12 @@ def _run_point(spec: FairnessSpec, scheduler: str, mix: str,
     }
 
 
-def run_fairness(spec: FairnessSpec) -> FairnessReport:
-    """Run the scheduler × mix × runtime × kv × power grid."""
-    report = FairnessReport(spec=spec)
-    for mix in spec.mixes:
-        for runtime in spec.runtimes:
-            for kv_policy in spec.kv_policies:
-                for power_mode in spec.power_modes:
-                    for scheduler in spec.schedulers:
-                        report.rows.append(_run_point(
-                            spec, scheduler, mix, runtime, kv_policy,
-                            power_mode))
-    return report
-
-
-def fairness_rows_csv(report: FairnessReport) -> str:
-    """The rows as canonical CSV text (the determinism-gate artifact)."""
-    if not report.rows:
-        return ""
-    cols = list(report.rows[0])
-    lines = [",".join(cols)]
-    for r in report.rows:
-        lines.append(",".join(str(r[c]) for c in r))
-    return "\n".join(lines) + "\n"
+def run_fairness(spec: FairnessSpec) -> GridReport:
+    """Run the mix × runtime × kv × power × scheduler grid."""
+    return GridReport(spec, run_grid(spec, {
+        "mix": spec.mixes,
+        "runtime": spec.runtimes,
+        "kv_policy": spec.kv_policies,
+        "power_mode": spec.power_modes,
+        "scheduler": spec.schedulers,
+    }, _run_point))

@@ -27,12 +27,7 @@ from repro.kvtier.swap import (
     SwapStats,
     swap_bandwidth_bytes_s,
 )
-from repro.kvtier.sweep import (
-    KvTierReport,
-    KvTierSpec,
-    run_kvtier,
-    sweep_rows_csv,
-)
+from repro.kvtier.sweep import KvTierSpec, run_kvtier
 
 __all__ = [
     "AGGRESSIVE_TRIGGER",
@@ -48,8 +43,6 @@ __all__ = [
     "HostSwapSpace",
     "SwapStats",
     "swap_bandwidth_bytes_s",
-    "KvTierReport",
     "KvTierSpec",
     "run_kvtier",
-    "sweep_rows_csv",
 ]

@@ -3,19 +3,19 @@
 One spec describes a memory-pressured single-node serving scenario; the
 sweep replays the *same* deterministic workload under every combination
 of KV lifecycle policy, trigger threshold and shared-prefix ratio, so
-the rows differ only in what the policy axis changed.  Everything is
-content-addressed (:func:`KvTierSpec.cache_key` folds
+the rows differ only in what the policy axis changed.  The grid runs
+on :mod:`repro.core.grid`; everything is content-addressed
+(:func:`KvTierSpec.cache_key` folds
 :data:`~repro.kvtier.policy.KV_TIER_VERSION`) and bit-reproducible —
 the CI smoke job runs the sweep twice and diffs the CSV byte-for-byte.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Tuple
 
-from repro.core.cache import payload_fingerprint
+from repro.core.grid import GridReport, run_grid, versioned_key
 from repro.errors import ConfigError
 from repro.kvtier.policy import KV_TIER_VERSION, get_kv_policy
 
@@ -61,33 +61,11 @@ class KvTierSpec:
 
     def cache_key(self) -> str:
         """Content address folding the kvtier semantics version."""
-        payload = dataclasses.asdict(self)
-        payload["kv_tier_version"] = KV_TIER_VERSION
-        return payload_fingerprint(payload)
+        return versioned_key(self, "kv_tier_version", KV_TIER_VERSION)
 
 
-@dataclass
-class KvTierReport:
-    """All sweep rows for one spec (deterministic row order)."""
-
-    spec: KvTierSpec
-    rows: List[Dict] = dataclasses.field(default_factory=list)
-
-    def table(self) -> str:
-        """Aligned text table of the rows (stable formatting)."""
-        if not self.rows:
-            return ""
-        cols = list(self.rows[0])
-        widths = {c: max(len(c), *(len(str(r[c])) for r in self.rows))
-                  for c in cols}
-        lines = ["  ".join(c.ljust(widths[c]) for c in cols)]
-        for r in self.rows:
-            lines.append("  ".join(str(r[c]).ljust(widths[c]) for c in cols))
-        return "\n".join(lines)
-
-
-def _run_point(spec: KvTierSpec, policy_name: str, trigger: float,
-               share_ratio: float) -> Dict:
+def _run_point(spec: KvTierSpec, share_ratio: float, policy_name: str,
+               trigger: float) -> Dict:
     from repro.cluster import EdgeCluster, FleetSpec, NodeSpec
     from repro.cluster.workload import shared_prefix_workload
 
@@ -132,23 +110,10 @@ def _run_point(spec: KvTierSpec, policy_name: str, trigger: float,
     return row
 
 
-def run_kvtier(spec: KvTierSpec) -> KvTierReport:
-    """Run the full policy × trigger × share-ratio grid (deterministic)."""
-    report = KvTierReport(spec=spec)
-    for share in spec.share_ratios:
-        for policy_name in spec.policies:
-            for trigger in spec.triggers:
-                report.rows.append(
-                    _run_point(spec, policy_name, trigger, share))
-    return report
-
-
-def sweep_rows_csv(report: KvTierReport) -> str:
-    """The rows as canonical CSV text (the determinism-gate artifact)."""
-    if not report.rows:
-        return ""
-    cols = list(report.rows[0])
-    lines = [",".join(cols)]
-    for r in report.rows:
-        lines.append(",".join(str(r[c]) for c in r))
-    return "\n".join(lines) + "\n"
+def run_kvtier(spec: KvTierSpec) -> GridReport:
+    """Run the full share-ratio × policy × trigger grid (deterministic)."""
+    return GridReport(spec, run_grid(spec, {
+        "share_ratio": spec.share_ratios,
+        "policy_name": spec.policies,
+        "trigger": spec.triggers,
+    }, _run_point))

@@ -16,8 +16,7 @@ Modules
 - :mod:`repro.plan.fluid` — the ODE: closed-form steady state and the
   trace-driven Euler integrator.
 - :mod:`repro.plan.spec` — :class:`PlanSpec`, the capacity search.
-- :mod:`repro.plan.feasibility` — engine-probing OOM envelope (the
-  folded legacy ``core.planner``).
+- :mod:`repro.plan.feasibility` — engine-probing OOM envelope.
 - :mod:`repro.plan.validate` — the analytic-vs-DES error grid.
 """
 
@@ -37,7 +36,6 @@ from repro.plan.validate import (
     ValidationReport,
     ValidationSpec,
     run_validation,
-    validation_rows_csv,
 )
 
 __all__ = [
@@ -59,5 +57,4 @@ __all__ = [
     "probe_max_seq_len",
     "run_validation",
     "steady_state",
-    "validation_rows_csv",
 ]

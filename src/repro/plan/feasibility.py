@@ -1,13 +1,11 @@
-"""Engine-probing feasibility search (the legacy ``core.planner`` logic).
+"""Engine-probing feasibility search.
 
 These searches answer the paper's OOM-cell questions by probing the
 *actual simulated engine* (same allocator, same buffers): the largest
 batch at a sequence length, the longest sequence at a batch.  They are
 exact where the fluid planner is approximate, and slow where it is
 fast — a handful of engine runs per probe.  The public surface is
-:meth:`repro.plan.PlanSpec.feasibility` and friends; the historical
-function-style entry points in :mod:`repro.core.planner` delegate here
-behind ``DeprecationWarning`` shims.
+:meth:`repro.plan.PlanSpec.feasibility` and friends.
 """
 
 from __future__ import annotations

@@ -10,22 +10,21 @@ search over the default axes answers in well under a second — the
 whole point of the analytic tier — and every number it emits comes
 from the same calibrated :class:`~repro.engine.kernels.StepTimer`
 costs the DES replays, so ``repro plan --validate`` can hold it to a
-measured error budget.
+measured error budget.  The candidate walk runs on
+:mod:`repro.core.grid`, one row per (runtime, precision, power mode).
 
-The engine-probing feasibility searches that used to live in
-``repro.core.planner`` are methods here (:meth:`PlanSpec.feasibility`,
-:meth:`PlanSpec.max_batch_size`, :meth:`PlanSpec.max_seq_len`); the
-old function signatures survive as ``DeprecationWarning`` shims.
+The engine-probing feasibility searches are methods here too
+(:meth:`PlanSpec.feasibility`, :meth:`PlanSpec.max_batch_size`,
+:meth:`PlanSpec.max_seq_len`).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.core.cache import payload_fingerprint
+from repro.core.grid import GridReport, run_grid, versioned_key
 from repro.errors import ConfigError
 from repro.plan.fluid import FluidEstimate, steady_state
 from repro.plan.rates import ServiceRates
@@ -100,11 +99,9 @@ class PlanSpec:
 
     def cache_key(self) -> str:
         """Content address folding the fluid-model version."""
-        payload = dataclasses.asdict(self)
-        payload["plan_version"] = PLAN_VERSION
-        return payload_fingerprint(payload)
+        return versioned_key(self, "plan_version", PLAN_VERSION)
 
-    # -- engine-probing feasibility (the folded legacy planner) ----------
+    # -- engine-probing feasibility ---------------------------------------
     def max_batch_size(self, upper: int = 4096) -> Optional[int]:
         """Largest engine-feasible batch at this spec's request shape."""
         from repro.engine.request import GenerationSpec
@@ -140,29 +137,26 @@ class PlanSpec:
         return FeasibilityEnvelope(max_batch_size=bs, max_seq_len=sl)
 
 
-@dataclass
-class PlanReport:
-    """Capacity-search outcome: one row per candidate, best first marked.
+class PlanReport(GridReport):
+    """Capacity-search outcome: one row per candidate."""
 
-    ``chosen`` is the feasible row with the fewest nodes (fleet watts
-    breaking ties); ``None`` when nothing inside the axes meets the SLO.
-    """
+    @property
+    def chosen(self) -> Optional[Dict]:
+        """The feasible row with the fewest nodes (fleet watts, then
+        g/token when a carbon objective is set, breaking ties); ``None``
+        when nothing inside the axes meets the SLO."""
+        winners = [r for r in self.rows if r["slo_ok"]]
+        if not winners:
+            return None
 
-    spec: PlanSpec
-    rows: List[Dict] = dataclasses.field(default_factory=list)
-    chosen: Optional[Dict] = None
+        def rank(r: Dict):
+            key = [r["nodes"], r["watts"]]
+            if self.spec.carbon_gco2_per_kwh is not None:
+                g = r["g_per_token"]
+                key.append(math.inf if g == "inf" else g)
+            return tuple(key)
 
-    def table(self) -> str:
-        """Aligned text table of the rows (stable formatting)."""
-        if not self.rows:
-            return ""
-        cols = list(self.rows[0])
-        widths = {c: max(len(c), *(len(str(r[c])) for r in self.rows))
-                  for c in cols}
-        lines = ["  ".join(c.ljust(widths[c]) for c in cols)]
-        for r in self.rows:
-            lines.append("  ".join(str(r[c]).ljust(widths[c]) for c in cols))
-        return "\n".join(lines)
+        return min(winners, key=rank)
 
 
 def _fin(value: float, digits: int) -> object:
@@ -182,8 +176,24 @@ def _meets_slo(spec: PlanSpec, est: FluidEstimate) -> bool:
     return True
 
 
-def _row_of(spec: PlanSpec, runtime: str, precision: str, mode: str,
-            est: FluidEstimate, feasible: bool) -> Dict:
+def _candidate(spec: PlanSpec, runtime: str, precision: str,
+               mode: str) -> Dict:
+    """Walk node counts upward; the first fleet meeting the SLO wins.
+
+    Candidates that never fit (weights exceed the board) or never
+    stabilise inside ``max_nodes`` keep ``slo_ok=False`` at
+    ``max_nodes`` so the table still shows *why* they lost.
+    """
+    rates = ServiceRates(spec.model, precision, runtime,
+                         device=spec.device, power_mode=mode)
+    feasible = False
+    for nodes in range(1, spec.max_nodes + 1):
+        est = steady_state(rates, spec.rate_per_s, spec.input_tokens,
+                           spec.output_tokens, nodes=nodes,
+                           max_batch=spec.max_batch)
+        if _meets_slo(spec, est):
+            feasible = True
+            break
     row = {
         "runtime": runtime,
         "precision": precision,
@@ -215,41 +225,11 @@ def _row_of(spec: PlanSpec, runtime: str, precision: str, mode: str,
 def plan(spec: PlanSpec) -> PlanReport:
     """Run the capacity search over the spec's candidate axes.
 
-    For each (runtime, precision, power mode) the search walks node
-    counts upward and keeps the first fleet size that meets the SLO
-    with utilization headroom; candidates that never fit (weights
-    exceed the board) or never stabilise inside ``max_nodes`` appear
-    with ``slo_ok=False`` at ``max_nodes`` so the table still shows
-    *why* they lost.
+    One row per (runtime, precision, power mode), each the smallest
+    fleet that meets the SLO with utilization headroom.
     """
-    report = PlanReport(spec=spec)
-    for runtime in spec.runtimes:
-        for precision in spec.precisions:
-            for mode in spec.power_modes:
-                rates = ServiceRates(
-                    spec.model, precision, runtime,
-                    device=spec.device, power_mode=mode)
-                best: Optional[FluidEstimate] = None
-                feasible = False
-                for nodes in range(1, spec.max_nodes + 1):
-                    est = steady_state(
-                        rates, spec.rate_per_s, spec.input_tokens,
-                        spec.output_tokens, nodes=nodes,
-                        max_batch=spec.max_batch)
-                    best = est
-                    if _meets_slo(spec, est):
-                        feasible = True
-                        break
-                report.rows.append(_row_of(
-                    spec, runtime, precision, mode, best, feasible))
-    winners = [r for r in report.rows if r["slo_ok"]]
-    if winners:
-        def rank(r: Dict):
-            key = [r["nodes"], r["watts"]]
-            if spec.carbon_gco2_per_kwh is not None:
-                g = r["g_per_token"]
-                key.append(math.inf if g == "inf" else g)
-            return tuple(key)
-
-        report.chosen = min(winners, key=rank)
-    return report
+    return PlanReport(spec, run_grid(spec, {
+        "runtime": spec.runtimes,
+        "precision": spec.precisions,
+        "mode": spec.power_modes,
+    }, _candidate))

@@ -18,12 +18,10 @@ continuous-service relaxation.  Divergence sources are catalogued in
 
 from __future__ import annotations
 
-import dataclasses
-import io
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.core.cache import payload_fingerprint
+from repro.core.grid import GridReport, run_grid, versioned_key
 from repro.errors import ConfigError
 from repro.plan import spec as _planspec
 from repro.plan.fluid import integrate
@@ -92,19 +90,13 @@ class ValidationSpec:
 
     def cache_key(self) -> str:
         """Content address folding the fluid-model version."""
-        payload = dataclasses.asdict(self)
         # Read through the module so a PLAN_VERSION bump invalidates
         # validation artifacts too, not just plan ones.
-        payload["plan_version"] = _planspec.PLAN_VERSION
-        return payload_fingerprint(payload)
+        return versioned_key(self, "plan_version", _planspec.PLAN_VERSION)
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(GridReport):
     """All grid cells plus the pass/fail roll-up."""
-
-    spec: ValidationSpec
-    rows: List[Dict] = dataclasses.field(default_factory=list)
 
     @property
     def within_fraction(self) -> float:
@@ -113,18 +105,6 @@ class ValidationReport:
             return 0.0
         ok = sum(1 for r in self.rows if r["within_tol"])
         return ok / len(self.rows)
-
-    def table(self) -> str:
-        """Aligned text table of the rows (stable formatting)."""
-        if not self.rows:
-            return ""
-        cols = list(self.rows[0])
-        widths = {c: max(len(c), *(len(str(r[c])) for r in self.rows))
-                  for c in cols}
-        lines = ["  ".join(c.ljust(widths[c]) for c in cols)]
-        for r in self.rows:
-            lines.append("  ".join(str(r[c]).ljust(widths[c]) for c in cols))
-        return "\n".join(lines)
 
 
 def _make_workload(spec: ValidationSpec, name: str) -> List:
@@ -196,22 +176,8 @@ def _run_cell(spec: ValidationSpec, workload_name: str, router: str,
 
 def run_validation(spec: ValidationSpec) -> ValidationReport:
     """Replay the whole grid through both tiers (deterministic order)."""
-    report = ValidationReport(spec=spec)
-    for workload_name in spec.workloads:
-        for router in spec.routers:
-            for runtime in spec.runtimes:
-                report.rows.append(
-                    _run_cell(spec, workload_name, router, runtime))
-    return report
-
-
-def validation_rows_csv(report: ValidationReport) -> str:
-    """Canonical CSV of the grid (what CI byte-diffs and gates on)."""
-    buf = io.StringIO()
-    if not report.rows:
-        return ""
-    cols = list(report.rows[0])
-    buf.write(",".join(cols) + "\n")
-    for r in report.rows:
-        buf.write(",".join(str(r[c]) for c in cols) + "\n")
-    return buf.getvalue()
+    return ValidationReport(spec, run_grid(spec, {
+        "workload_name": spec.workloads,
+        "router": spec.routers,
+        "runtime": spec.runtimes,
+    }, _run_cell))

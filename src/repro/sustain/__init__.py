@@ -20,8 +20,7 @@ and at what wattage* measurements:
 
 from repro.sustain.cascade import (LLM_TIER, SLM_TIER, CascadeSpec,
                                    served_by_tier)
-from repro.sustain.sweep import (TRACE_SCENARIOS, SustainReport, SustainSpec,
-                                 run_sustain, sustain_rows_csv)
+from repro.sustain.sweep import TRACE_SCENARIOS, SustainSpec, run_sustain
 from repro.sustain.trace import (SUSTAIN_VERSION, CarbonTrace,
                                  carbon_from_samples, defer_arrivals)
 
@@ -31,12 +30,10 @@ __all__ = [
     "LLM_TIER",
     "SLM_TIER",
     "SUSTAIN_VERSION",
-    "SustainReport",
     "SustainSpec",
     "TRACE_SCENARIOS",
     "carbon_from_samples",
     "defer_arrivals",
     "run_sustain",
     "served_by_tier",
-    "sustain_rows_csv",
 ]

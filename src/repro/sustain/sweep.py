@@ -16,20 +16,20 @@ changed.  The headline comparisons the committed bench pins:
   share to the LLM tier, for a bounded quality-proxy regression.
 
 Every row's token books are conservation-checked
-(:func:`~repro.fairness.accounting.conservation_violations`) and the
-grid is content-addressed (:func:`SustainSpec.cache_key` folds
+(:func:`~repro.fairness.accounting.check_books`); the grid runs on
+:mod:`repro.core.grid` and is content-addressed
+(:func:`SustainSpec.cache_key` folds
 :data:`~repro.sustain.trace.SUSTAIN_VERSION`) and bit-reproducible —
 the CI smoke job runs the sweep twice and diffs the CSV byte-for-byte.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
-from repro.core.cache import payload_fingerprint
-from repro.errors import ConfigError, ExperimentError
+from repro.core.grid import GridReport, run_grid, versioned_key
+from repro.errors import ConfigError
 from repro.sustain.cascade import LLM_TIER, SLM_TIER, CascadeSpec
 from repro.sustain.trace import SUSTAIN_VERSION, CarbonTrace, defer_arrivals
 
@@ -143,29 +143,7 @@ class SustainSpec:
 
     def cache_key(self) -> str:
         """Content address folding the sustainability semantics version."""
-        payload = dataclasses.asdict(self)
-        payload["sustain_version"] = SUSTAIN_VERSION
-        return payload_fingerprint(payload)
-
-
-@dataclass
-class SustainReport:
-    """All sweep rows for one spec (deterministic row order)."""
-
-    spec: SustainSpec
-    rows: List[Dict] = dataclasses.field(default_factory=list)
-
-    def table(self) -> str:
-        """Aligned text table of the rows (stable formatting)."""
-        if not self.rows:
-            return ""
-        cols = list(self.rows[0])
-        widths = {c: max(len(c), *(len(str(r[c])) for r in self.rows))
-                  for c in cols}
-        lines = ["  ".join(c.ljust(widths[c]) for c in cols)]
-        for r in self.rows:
-            lines.append("  ".join(str(r[c]).ljust(widths[c]) for c in cols))
-        return "\n".join(lines)
+        return versioned_key(self, "sustain_version", SUSTAIN_VERSION)
 
 
 def _fleet_for(spec: SustainSpec, scenario: str, router: str,
@@ -205,12 +183,11 @@ def _fleet_for(spec: SustainSpec, scenario: str, router: str,
                         policy=router, traces=dict(regions))
 
 
-def _run_point(spec: SustainSpec, scenario: str, router: str,
-               cascade: str, power_mode: str) -> Dict:
+def _run_point(spec: SustainSpec, scenario: str, power_mode: str,
+               cascade: str, router: str) -> Dict:
     from repro.cluster import EdgeCluster
     from repro.cluster.workload import as_cluster_requests, poisson_workload
-    from repro.fairness.accounting import (build_ledger,
-                                           conservation_violations)
+    from repro.fairness.accounting import check_books
     from repro.sustain.cascade import served_by_tier
 
     fleet = _fleet_for(spec, scenario, router, cascade, power_mode)
@@ -246,12 +223,8 @@ def _run_point(spec: SustainSpec, scenario: str, router: str,
     else:
         report = cluster.run(requests)
         quality_delta = 0.0
-    ledgers = build_ledger(cluster.last_requests)
-    meters = sum(n.served_tokens for n in cluster.nodes)
-    violations = conservation_violations(ledgers, node_served_tokens=meters)
-    if violations:
-        raise ExperimentError(
-            "token books do not balance: " + "; ".join(violations))
+    check_books(cluster.last_requests,
+                sum(n.served_tokens for n in cluster.nodes))
     return {
         "scenario": scenario,
         "router": router,
@@ -272,24 +245,11 @@ def _run_point(spec: SustainSpec, scenario: str, router: str,
     }
 
 
-def run_sustain(spec: SustainSpec) -> SustainReport:
-    """Run the scenario × router × cascade × power-mode grid."""
-    report = SustainReport(spec=spec)
-    for scenario in spec.scenarios:
-        for power_mode in spec.power_modes:
-            for cascade in spec.cascades:
-                for router in spec.routers:
-                    report.rows.append(_run_point(
-                        spec, scenario, router, cascade, power_mode))
-    return report
-
-
-def sustain_rows_csv(report: SustainReport) -> str:
-    """The rows as canonical CSV text (the determinism-gate artifact)."""
-    if not report.rows:
-        return ""
-    cols = list(report.rows[0])
-    lines = [",".join(cols)]
-    for r in report.rows:
-        lines.append(",".join(str(r[c]) for c in r))
-    return "\n".join(lines) + "\n"
+def run_sustain(spec: SustainSpec) -> GridReport:
+    """Run the scenario × power-mode × cascade × router grid."""
+    return GridReport(spec, run_grid(spec, {
+        "scenario": spec.scenarios,
+        "power_mode": spec.power_modes,
+        "cascade": spec.cascades,
+        "router": spec.routers,
+    }, _run_point))

@@ -106,42 +106,6 @@ class TestRunFullStudyShim:
         assert spec.models == ("MS-Phi2",)
 
 
-class TestPlannerShims:
-    """``repro.core.planner`` is a deprecated alias of ``repro.plan``."""
-
-    def test_max_batch_size_warns_and_matches_probe(self):
-        from repro.core import planner
-        from repro.plan import probe_max_batch
-
-        with pytest.warns(DeprecationWarning, match="probe_max_batch"):
-            legacy = planner.max_batch_size("phi2", Precision.FP16,
-                                            upper=256)
-        assert legacy == probe_max_batch("phi2", Precision.FP16, upper=256)
-
-    def test_max_sequence_length_warns_and_matches_probe(self):
-        from repro.core import planner
-        from repro.plan import probe_max_seq_len
-
-        with pytest.warns(DeprecationWarning, match="probe_max_seq_len"):
-            legacy = planner.max_sequence_length("phi2", Precision.FP16,
-                                                 batch_size=8)
-        assert legacy == probe_max_seq_len("phi2", Precision.FP16,
-                                           batch_size=8)
-
-    def test_feasible_compat_reexport(self):
-        from repro.core.planner import _feasible
-        from repro.plan import engine_feasible
-
-        assert _feasible is engine_feasible
-
-    def test_probe_call_is_warning_free(self, recwarn):
-        from repro.plan import probe_max_batch
-
-        probe_max_batch("phi2", Precision.FP16, upper=64)
-        assert not [w for w in recwarn.list
-                    if issubclass(w.category, DeprecationWarning)]
-
-
 class TestTraceShim:
     def test_record_and_by_kind_still_work(self):
         trace = Trace()

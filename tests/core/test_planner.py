@@ -85,3 +85,8 @@ class TestSpecSurface:
                        output_tokens=2).feasibility(upper_batch=4)
         assert env.max_batch_size is None
         assert env.max_seq_len is None
+
+    def test_probe_call_is_warning_free(self, recwarn):
+        probe_max_batch("phi2", Precision.FP16, upper=64)
+        assert not [w for w in recwarn.list
+                    if issubclass(w.category, DeprecationWarning)]

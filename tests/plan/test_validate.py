@@ -3,8 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.plan import (ValidationSpec, run_validation,
-                        validation_rows_csv)
+from repro.plan import ValidationSpec, run_validation
 
 
 def tiny_spec(**kw):
@@ -71,5 +70,4 @@ class TestSmallGrid:
     def test_csv_is_bit_reproducible(self, report):
         again = run_validation(tiny_spec(
             runtimes=("hf-transformers", "paged")))
-        assert validation_rows_csv(report) == validation_rows_csv(again)
-        assert validation_rows_csv(report).endswith("\n")
+        assert report.csv() == again.csv()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.sustain import SustainSpec, run_sustain, sustain_rows_csv
+from repro.sustain import SustainSpec, run_sustain
 from repro.sustain.trace import SUSTAIN_VERSION
 
 
@@ -45,13 +45,12 @@ class TestDeterminism:
         a = run_sustain(spec)
         b = run_sustain(spec)
         assert a.rows == b.rows
-        assert sustain_rows_csv(a) == sustain_rows_csv(b)
+        assert a.csv() == b.csv()
 
     def test_csv_is_canonical(self):
         rep = run_sustain(quick(scenarios=("uniform",), cascades=("off",),
                                 routers=("energy-aware",)))
-        csv_text = sustain_rows_csv(rep)
-        assert csv_text.endswith("\n")
+        csv_text = rep.csv()
         header = csv_text.splitlines()[0].split(",")
         assert header[:4] == ["scenario", "router", "cascade", "power_mode"]
         assert "carbon_g" in header and "quality_delta_pct" in header
