@@ -43,12 +43,36 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 
 
-def _csv_list(text: str, cast=str) -> tuple:
-    """Parse a comma-separated option value, dropping empty items."""
-    return tuple(cast(v.strip()) for v in text.split(",") if v.strip())
+def _csv_list(text: str, cast=str, required: bool = False) -> tuple:
+    """Parse a comma-separated option value, dropping empty items.
+
+    An item ``cast`` rejects, or no item at all when ``required``, is a
+    :class:`ConfigError` naming the value."""
+    items = []
+    for v in text.split(","):
+        v = v.strip()
+        if not v:
+            continue
+        try:
+            items.append(cast(v))
+        except ValueError:
+            raise ConfigError(
+                f"{v!r} in {text!r} is not a valid "
+                f"{getattr(cast, '__name__', 'value')}") from None
+    if required and not items:
+        raise ConfigError(f"expected at least one value, got {text!r}")
+    return tuple(items)
+
+
+def _write_csv(report, csv_path: Optional[str]) -> None:
+    """Write a grid report's canonical CSV, if a path was given."""
+    if csv_path:
+        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(report.csv())
+        print(f"wrote {csv_path}")
 
 
 def _emit_grid(report, csv_path: Optional[str], *notes: str) -> int:
@@ -57,10 +81,7 @@ def _emit_grid(report, csv_path: Optional[str], *notes: str) -> int:
     for note in notes:
         print(note)
     print(f"cache_key={report.spec.cache_key()}")
-    if csv_path:
-        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(report.csv())
-        print(f"wrote {csv_path}")
+    _write_csv(report, csv_path)
     return 0
 
 
@@ -391,8 +412,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     if args.validate:
         vspec = ValidationSpec(
             model=args.model, device=args.device,
-            precision=_csv_list(args.precisions)[0],
-            power_mode=_csv_list(args.power_modes)[0],
+            precision=_csv_list(args.precisions, required=True)[0],
+            power_mode=_csv_list(args.power_modes, required=True)[0],
             nodes=args.validate_nodes, n_requests=args.validate_requests,
             input_tokens=args.input_tokens,
             output_tokens=args.output_tokens, max_batch=args.max_batch,
@@ -426,6 +447,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     else:
         print("\nno configuration inside the candidate axes meets the SLO")
     print(f"cache_key={spec.cache_key()}")
+    _write_csv(report, args.csv)
     return 0
 
 
@@ -806,7 +828,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="requests per validation cell")
     pln.add_argument("--seed", type=int, default=0)
     pln.add_argument("--csv", default=None,
-                     help="write the validation rows as canonical CSV")
+                     help="write the candidate (or, with --validate, "
+                          "validation) rows as canonical CSV")
 
     return parser
 

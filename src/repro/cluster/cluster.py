@@ -44,6 +44,7 @@ from repro.obs.span import NO_SPAN, NULL_OBSERVER, Observer
 from repro.power.model import PowerModel
 from repro.quant.dtypes import Precision
 from repro.sim.environment import Environment
+from repro.telemetry.sampler import FleetSampler
 
 
 @dataclass(frozen=True)
@@ -156,6 +157,9 @@ class EdgeCluster:
             self.obs.bind(env)
             self.obs.set_group("cluster")
         router.assign_roles(self.nodes)
+        #: One ``power-sampler`` process reads every node each period,
+        #: in node order.
+        self._sampler = FleetSampler([n.sampler for n in self.nodes])
 
     @classmethod
     def of(
@@ -371,14 +375,13 @@ class EdgeCluster:
             n.on_complete = self._on_complete
             n.on_prefill_done = self._on_prefill_done
             n.on_crash = self._requeue_orphans
-            n.sampler.start()
+        self._sampler.start()
         self.env.process(injector(), name="injector")
         for svc in self._services:
             svc.start()
 
     def _stop_serving(self) -> None:
-        for n in self.nodes:
-            n.sampler.stop()
+        self._sampler.stop()
         for svc in self._services:
             svc.stop()
         if self.obs.enabled:

@@ -33,8 +33,9 @@ DES resumption.  The plan is committed lazily: token counters,
 per-request energy and timestamps, node meters and the thermal state
 are applied up to the step the clock has reached when the stretch ends,
 or earlier when anything reads or mutates the node (properties,
-:meth:`submit`, faults, mode changes, the power sampler's ticks).  A
-mutation that would change the next step cuts the plan at the boundary
+:meth:`submit`, faults, mode changes).  The power sampler commits
+nothing: it reads the utilization of the step in progress off the plan.
+A mutation that would change the next step cuts the plan at the boundary
 of the step in progress.  On an observed node the planned steps' decode
 spans and served-token counters are deferred to the observer, which
 emits them in the one-step order before anything else it records or
@@ -59,6 +60,7 @@ deterministic on the shared clock.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -387,13 +389,13 @@ class ClusterNode:
         self.state = EngineState()
         self.sampler = PowerSampler(env, device, self.power_model, self.state,
                                     period_s=sample_period_s, obs=self.obs,
-                                    obs_track=self.obs_track)
+                                    obs_track=self.obs_track,
+                                    reading=self._power_reading)
         #: The decode stretch in flight (None between stretches).
         self._stretch: Optional[_Stretch] = None
         #: The last ``_admit`` admitted nothing and stopped at a candidate
         #: the KV budget refuses, and nothing changed since.
         self._admit_blocked = False
-        self.sampler.before_sample = self._sync
         # Meters behind the lazily synced properties of the same name.
         self._busy_energy_j = 0.0
         self._busy_seconds = 0.0
@@ -1112,6 +1114,19 @@ class ClusterNode:
             self._served_tokens += bs * steps
             self.last_busy_s = t_last
             st.ended = end
+
+    def _power_reading(self) -> tuple:
+        """``(phase, util)`` the board shows at the clock, for the power
+        sampler: a pure read of the in-flight stretch's plan, equal to
+        :meth:`_sync` followed by reading ``state``, committing nothing."""
+        st = self._stretch
+        if st is not None:
+            # The step in progress is the last whose start is due.
+            k = bisect_right(st.ts, self.env.now, st.started, st.n)
+            if k > st.started:
+                return "decode", st.utils[k - 1]
+        state = self.state
+        return state.phase, state.util
 
     def _cut(self) -> None:
         """Something is about to change what the next step would do:

@@ -5,7 +5,7 @@ with jtop, the median across batches is reported as the power load, and
 energy is the trapezoidal integral of the sampled trace (§2).
 """
 
-from repro.telemetry.sampler import PowerSample, PowerSampler
+from repro.telemetry.sampler import FleetSampler, PowerSample, PowerSampler
 from repro.telemetry.energy import median_power_w, trapezoid_energy_j
 from repro.telemetry.metrics import (
     latency_seconds,
@@ -13,6 +13,7 @@ from repro.telemetry.metrics import (
 )
 
 __all__ = [
+    "FleetSampler",
     "PowerSample",
     "PowerSampler",
     "latency_seconds",

@@ -10,6 +10,7 @@ stretches too and emit their records lazily through the observer, so
 the trace comparison covers deferred emission.
 """
 
+import random
 from contextlib import contextmanager
 from unittest import mock
 
@@ -394,6 +395,94 @@ class TestPressureFleet:
             return _observables(_serve(sc, one_step, reqs))
 
         assert serve(one_step=False) == serve(one_step=True)
+
+
+#: Fleets the power-reading property probes: throttle toggles end
+#: stretches, crashes and fault edges cut them, and paged pools
+#: overflow mid-stretch.
+READ_SCENARIOS = {
+    "thermal": {"nodes": [NodeSpec(ORIN64, power_mode="MAXN", max_batch=4),
+                          NodeSpec(ORIN64, power_mode="A", max_batch=3,
+                                   scheduler="vtc")],
+                "router": "jsq", "workload": "poisson", "rate": 2.0,
+                "n": 14, "seed": 3, "hot": True, "faults": "thermal",
+                "observed": False},
+    "crash": {"nodes": [NodeSpec(ORIN64, max_batch=4),
+                        NodeSpec(NANO8, max_batch=6, runtime="gguf")],
+              "router": "least-kv", "workload": "poisson", "rate": 6.0,
+              "n": 14, "seed": 5, "hot": False, "faults": "crash",
+              "observed": True},
+    "faults": {"nodes": [NodeSpec(ORIN64, max_batch=5, scheduler="wsc"),
+                         NodeSpec(ORIN64, max_batch=3, power_mode="H")],
+               "router": "energy-aware", "workload": "sessions", "rate": 2.0,
+               "n": 12, "seed": 8, "hot": True, "faults": "all",
+               "observed": True},
+    "overflow": {"nodes": [NodeSpec(NANO8, runtime="paged", max_batch=16,
+                                    kv_policy=policy)
+                           for policy in ("swap-lru", "sacrifice")],
+                 "router": "prefix-affinity", "workload": "prefix",
+                 "rate": 2.0, "n": 14, "seed": 2, "hot": False,
+                 "faults": None, "observed": False, "budget_frac": 0.1},
+}
+
+
+class TestPowerReading:
+    """The power sampler reads a node without committing it: at random
+    clock points inside planned stretches, on step boundaries and
+    between them, the read equals ``_sync()`` followed by the engine
+    state."""
+
+    def test_read_equals_sync_then_state(self):
+        seen = dict(planned=0, on_boundary=0, crashed=0, throttled=0,
+                    overflowed=0)
+        # A failing process dies without a waiter to raise in, so the
+        # probes record mismatches and the example asserts on them.
+        mismatches = []
+
+        def probe(node, when, boundary):
+            yield node.env.timeout_at(when)
+            st_ = node._stretch
+            started = st_.started if st_ is not None else None
+            read = node._power_reading()
+            node._sync()
+            if read != (node.state.phase, node.state.util):
+                mismatches.append((node.node_id, when, read))
+            if st_ is not None and st_.started > started:
+                seen["planned"] += 1
+                seen["on_boundary"] += boundary
+            seen["crashed"] += not node.healthy
+
+        @settings(max_examples=24, deadline=None, derandomize=True,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(st.sampled_from(sorted(READ_SCENARIOS)),
+               st.integers(0, 2**32 - 1))
+        def check(name, seed):
+            sc = READ_SCENARIOS[name]
+            rng = random.Random(seed)
+            plan = ClusterNode._plan_stretch
+
+            def prober(node, *args):
+                planned = plan(node, *args)
+                ts = planned.ts
+                for _ in range(2):
+                    k = rng.randrange(1, planned.n + 1)
+                    boundary = rng.random() < 0.5
+                    when = ts[k] if boundary else rng.uniform(ts[k - 1],
+                                                              ts[k])
+                    node.env.process(probe(node, when, boundary))
+                return planned
+
+            with mock.patch.object(ClusterNode, "_plan_stretch", prober):
+                cluster = _serve(sc, one_step=False)
+            assert mismatches == []
+            nodes = cluster.nodes
+            seen["throttled"] += any(n.throttle_log for n in nodes)
+            seen["overflowed"] += any(
+                n.kv_sacrifices or (n.swap and n.swap.stats.swap_outs)
+                for n in nodes if n.backend.admits_by_free_blocks)
+
+        check()
+        assert all(seen.values()), seen
 
 
 def _node(env, **kw):

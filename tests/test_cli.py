@@ -237,3 +237,22 @@ def test_fairness_accepts_power_modes(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "power_mode" in out and "cache_key=" in out
+
+
+def test_plan_writes_csv_without_validate(tmp_path, capsys):
+    from repro.plan import PlanSpec, plan
+
+    path = tmp_path / "plan.csv"
+    assert main(["plan", "--csv", str(path)]) == 0
+    assert f"wrote {path}" in capsys.readouterr().out
+    assert path.read_text(encoding="utf-8") == plan(PlanSpec()).csv()
+
+
+def test_uncastable_list_item_is_clean_error(capsys):
+    assert main(["kvtier", "--triggers", "abc"]) == 1
+    assert "error: 'abc'" in capsys.readouterr().err
+
+
+def test_empty_list_where_one_value_is_required(capsys):
+    assert main(["plan", "--validate", "--precisions", ""]) == 1
+    assert "error: expected at least one value" in capsys.readouterr().err
