@@ -113,6 +113,17 @@ class RuntimeBackend:
         """
         return 0.0
 
+    def decode_concat_run(self, kv_bytes_per_ctx: int) -> tuple:
+        """:meth:`decode_concat_bytes` as a linear rule in the context.
+
+        Returns ``(concat_coef, concat_lead)`` for
+        :meth:`~repro.engine.kernels.StepTimer.decode_run`, so that its
+        concat term equals ``decode_concat_bytes(ctx * kv_bytes_per_ctx)``
+        at every context ``ctx`` (``kv_bytes_per_ctx``: the live KV bytes
+        one context token costs the whole batch).  Default: no traffic.
+        """
+        return 0, 0
+
     # -- validation + identity ----------------------------------------------
     def validate_precision(self, precision: Precision) -> None:
         """Raise :class:`~repro.errors.ConfigError` if unsupported."""

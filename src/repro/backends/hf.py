@@ -101,3 +101,7 @@ class HFTransformersBackend(RuntimeBackend):
     def decode_concat_bytes(self, live_kv_bytes):
         # DynamicCache growth: read + rewrite the whole cache per step.
         return 2 * live_kv_bytes
+
+    def decode_concat_run(self, kv_bytes_per_ctx):
+        # Read ctx tokens' cache, write the same ctx tokens back.
+        return kv_bytes_per_ctx, 0

@@ -28,8 +28,9 @@ Decode fast-forward: a run of decode steps with a fixed batch (no
 completion, admission, throttle toggle or paged-pool overflow inside
 it) is planned ahead as plain data — per-step boundary times folded
 left from the clock in the step-by-step float order, step costs,
-joules, the thermal trajectory and utilization — and served with one
-DES resumption.  The plan is committed lazily: token counters,
+joules, the thermal trajectory and utilization, priced from the node's
+decode-step table (:mod:`repro.cluster.steptable`) — and served with
+one DES resumption.  The plan is committed lazily: token counters,
 per-request energy and timestamps, node meters and the thermal state
 are applied up to the step the clock has reached when the stretch ends,
 or earlier when anything reads or mutates the node (properties,
@@ -65,6 +66,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.backends.base import resolve_backend
+from repro.cluster.steptable import DecodeStepTable
 from repro.cluster.workload import ClusterRequest
 from repro.fairness.scheduler import get_fair_scheduler
 from repro.engine.kernels import EngineCostParams, StepCost
@@ -393,6 +395,9 @@ class ClusterNode:
                                     reading=self._power_reading)
         #: The decode stretch in flight (None between stretches).
         self._stretch: Optional[_Stretch] = None
+        #: What planned decode steps cost, by (batch, context).
+        self._step_table = DecodeStepTable(device, self.power_model,
+                                           self.backend, self._kv_per_token)
         #: The last ``_admit`` admitted nothing and stopped at a candidate
         #: the KV budget refuses, and nothing changed since.
         self._admit_blocked = False
@@ -944,7 +949,7 @@ class ClusterNode:
                 # give them back before refusing admission.
                 self.radix.reclaim(self.kv_in_use + need - limit,
                                    self.env.now)
-            if self.kv_in_use + need > limit:
+            if not self._admissible(need):
                 blocked = True
                 break
             r = self.queue.pop(idx)
@@ -969,6 +974,17 @@ class ClusterNode:
         # KV before the next step, so it may not stand then.
         self._admit_blocked = blocked and not admitted
         return admitted
+
+    def _admissible(self, need: int) -> bool:
+        """Whether :meth:`_admit` admits a candidate needing ``need`` KV
+        bytes now: it fits the KV policy's effective budget once every
+        retained prefix block no request pins is given back.  A pure
+        read; the reclaim itself is ``_admit``'s."""
+        limit = self.kv_policy.effective_budget(self.kv_budget)
+        held = self.kv_in_use
+        if held + need > limit and self.radix is not None:
+            held = self._kv_private + self.radix.pinned_bytes
+        return held + need <= limit
 
     def _obs_admitted(self, r: ClusterRequest) -> None:
         """Close the queue-wait span; note readmissions after eviction."""
@@ -1027,29 +1043,30 @@ class ClusterNode:
                 [r.input_tokens + r.generated for r in batch],
                 self.kv_budget - self.kv_in_use, n_max)
             n_max = len(st.growth)  # stop before an overflowing step
-        timer, backend, power_w = self.timer, self.backend, self.power_model.power_w
-        device, thermal, slowdown = self.device, self.thermal, self._slowdown
-        kv_per_token = self._kv_per_token
+        thermal = self.thermal
+        first, end = context + 1, context + n_max
+        row = self._step_table.prices(self.timer, thermal, self._slowdown,
+                                      bs, first, end)
+        secs, targets, alphas = row.seconds, row.target, row.alpha
         temp, throttled = thermal.temp_c, thermal.throttled
+        # The throttle hysteresis of ThermalModel.fold: a step whose
+        # temperature crosses this toggles the state.
+        toggle_c = (thermal.resume_temp_c if throttled
+                    else thermal.throttle_temp_c)
         t = ts[1]
-        for k in range(1, n_max):
-            ctx = context + k
-            cost = timer.decode_step(
-                bs, ctx,
-                concat_bytes=backend.decode_concat_bytes(
-                    bs * ctx * kv_per_token))
-            util = cost.util
-            sec = cost.seconds * slowdown
-            watts = power_w(device, util)
-            temp, now_throttled = thermal.fold(temp, throttled, watts, sec)
-            if now_throttled is not throttled:
+        ctx = first
+        while ctx < end:
+            target = targets[ctx]
+            temp = target + (temp - target) * alphas[ctx]
+            if temp <= toggle_c if throttled else temp >= toggle_c:
                 break  # the toggle re-clocks the GPU: bill that step live
-            t = t + sec
+            t = t + secs[ctx]
             ts.append(t)
-            joules.append(watts * sec)
-            seconds.append(sec)
-            utils.append(util)
             temps.append(temp)
+            ctx += 1
+        joules.extend(row.joules[first:ctx])
+        seconds.extend(secs[first:ctx])
+        utils.extend(row.utils[first:ctx])
         st.n = len(joules)
         if st.n > 1:
             st.batch = list(batch)
@@ -1101,10 +1118,7 @@ class ClusterNode:
                 if r.first_token_s is None:
                     r.first_token_s = t_first
             if self.scheduler.meters_service:
-                hook = self.scheduler.on_tokens_served
-                for _ in range(steps):
-                    for r in batch:
-                        hook(r, decode_tokens=1)
+                self.scheduler.on_decode_steps(st.tenants, steps)
             tenant_tokens = self._tenant_served_tokens
             for tenant, count in st.tenants.items():
                 tenant_tokens[tenant] = (tenant_tokens.get(tenant, 0)
@@ -1230,6 +1244,8 @@ class ClusterNode:
                             cat=kinds.CAT_CLUSTER, track=self.obs_track,
                             req=r.req_id, tokens=prefill_tokens)
                     if self.role == "prefill":
+                        if not any(a is r for a in self.active):
+                            continue  # a shrink evicted r: it re-prefills
                         self._retire(r)
                         self._drop_radix_pin(r)
                         if self.on_prefill_done is not None:
@@ -1238,10 +1254,16 @@ class ClusterNode:
                 if not self.active:
                     self.state.set_idle()
                     head = self._next_candidate()
-                    if (head is not None
-                            and self._kv_need(head) <= self.kv_budget):
-                        continue  # re-check admission (head now fits)
-                    # Empty, or head-of-line blocked by shrunk KV budget:
+                    if head is not None:
+                        need = self._kv_need(head)
+                        # Admit the head if it fits now; swap-out traffic
+                        # still unbilled goes first unless the head could
+                        # never fit.
+                        if self._admissible(need) or (
+                                self._pending_transfer_s > 0
+                                and need <= self.kv_budget):
+                            continue
+                    # Empty, or head-of-line blocked by the KV budget:
                     # sleep until a submit/restore/degrade wakes us.
                     self._wake = env.event()
                     yield self._wake

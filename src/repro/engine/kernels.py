@@ -320,19 +320,25 @@ class StepTimer:
         return self._memoized(False, batch_size, context_len, concat_bytes)
 
     def decode_run(self, batch_size: int, ctx_start: int, n_steps: int,
-                   concat_coef: int = 0) -> DecodeRun:
+                   concat_coef: int = 0, concat_lead: int = 1,
+                   memoize: bool = True) -> DecodeRun:
         """Costs for ``n_steps`` consecutive decode iterations, batched.
 
-        Token ``j`` decodes at context length ``ctx_start + j`` with
-        DynamicCache concat traffic ``concat_coef * ctx + concat_coef *
-        (ctx + 1)`` (``concat_coef`` is the per-context-token KV byte
-        count of the whole batch; 0 for static/preallocated caches —
-        exactly what :meth:`~repro.memsys.kvcache.KVCache.concat_traffic_bytes`
-        feeds the scalar path).
+        Token ``j`` decodes at context length ``ctx = ctx_start + j``
+        with DynamicCache concat traffic ``concat_coef * ctx +
+        concat_coef * (ctx + concat_lead)``: the cache of ``ctx`` tokens
+        is read and written back holding ``ctx + concat_lead`` tokens
+        (``concat_coef`` is the per-context-token KV byte count of the
+        whole batch; 0 for static/preallocated caches).  The default
+        lead of 1 is what
+        :meth:`~repro.memsys.kvcache.KVCache.concat_traffic_bytes`
+        feeds the scalar path; a backend's cluster rule gives its own
+        (:meth:`~repro.backends.base.RuntimeBackend.decode_concat_run`).
 
         The whole run is computed as numpy array ops — one pass instead
-        of ``n_steps`` Python-level cost evaluations — and memoized per
-        (batch, ctx_start, n_steps, concat_coef, operating point).
+        of ``n_steps`` Python-level cost evaluations — and, unless
+        ``memoize`` is False, memoized per (batch, ctx_start, n_steps,
+        concat rule, operating point).
         Subclasses that override :meth:`_combine` (e.g. the GGUF timer)
         transparently fall back to the scalar per-step path, as does any
         byte count too large for exact float64 integer arithmetic.
@@ -340,7 +346,10 @@ class StepTimer:
         if n_steps <= 0:
             empty = ()
             return DecodeRun(empty, empty, empty, empty, empty)
-        key = (batch_size, ctx_start, n_steps, concat_coef,
+        if not memoize:
+            return self._decode_run_compute(batch_size, ctx_start, n_steps,
+                                            concat_coef, concat_lead)
+        key = (batch_size, ctx_start, n_steps, concat_coef, concat_lead,
                self._operating_point())
         run = self._run_memo.get(key)
         if run is not None:
@@ -349,14 +358,15 @@ class StepTimer:
             return run
         self.run_memo_misses += 1
         run = self._decode_run_compute(batch_size, ctx_start, n_steps,
-                                       concat_coef)
+                                       concat_coef, concat_lead)
         self._run_memo[key] = run
         if len(self._run_memo) > _RUN_MEMO_CAP:
             self._run_memo.popitem(last=False)
         return run
 
     def _decode_run_compute(self, batch_size: int, ctx_start: int,
-                            n_steps: int, concat_coef: int) -> DecodeRun:
+                            n_steps: int, concat_coef: int,
+                            concat_lead: int) -> DecodeRun:
         arch = self.arch
         kv_spec = arch.kv_cache_spec(2)
         kv_coef = kv_spec.bytes_total(batch_size, 1)
@@ -364,13 +374,13 @@ class StepTimer:
         vectorizable = (
             type(self)._combine is StepTimer._combine
             and kv_coef * ctx_max < _EXACT_INT_LIMIT
-            and concat_coef * 2 * (ctx_max + 1) < _EXACT_INT_LIMIT
+            and concat_coef * (2 * ctx_max + concat_lead) < _EXACT_INT_LIMIT
         )
         if not vectorizable:
             costs = [
                 self._memoized(False, batch_size, ctx_start + j,
                                concat_coef * (ctx_start + j)
-                               + concat_coef * (ctx_start + j + 1))
+                               + concat_coef * (ctx_start + j + concat_lead))
                 for j in range(n_steps)
             ]
             return DecodeRun(
@@ -413,7 +423,7 @@ class StepTimer:
         )
         if concat_coef:
             cc = float(concat_coef)
-            concat = cc * ctx + cc * (ctx + 1.0)
+            concat = cc * ctx + cc * (ctx + float(concat_lead))
         else:
             concat = 0.0
         stream_bytes = stream_base + concat + kv_tail * kv_scale

@@ -80,6 +80,12 @@ class FairScheduler:
                          decode_tokens: int = 0) -> None:
         """Service was billed to ``request``'s tenant."""
 
+    def on_decode_steps(self, tenants: Mapping[str, int], steps: int) -> None:
+        """``steps`` decode steps of one batch were billed at once:
+        ``tenants`` maps each tenant to its members in the batch.  Equal
+        to :meth:`on_tokens_served` with ``decode_tokens=1`` for every
+        member, step by step."""
+
     def on_flush(self) -> None:
         """The queue was wiped wholesale (node crash)."""
 
@@ -150,6 +156,21 @@ class _CounterScheduler(FairScheduler):
         if cost:
             self.counters[tenant] = (self.counters.get(tenant, 0.0)
                                      + cost / self.weight_of(tenant))
+
+    def on_decode_steps(self, tenants: Mapping[str, int], steps: int) -> None:
+        # Tenants' counters are independent, so only each one's own
+        # sequence of adds has to match the per-request hook's; the cost
+        # is that hook's expression for one decode token.
+        cost = self.prefill_weight * 0 + self.decode_weight * 1
+        if not cost:
+            return
+        counters = self.counters
+        for tenant, members in tenants.items():
+            add = cost / self.weight_of(tenant)
+            counter = counters.get(tenant, 0.0)
+            for _ in range(members * steps):
+                counter = counter + add
+            counters[tenant] = counter
 
     def on_flush(self) -> None:
         self._backlog.clear()

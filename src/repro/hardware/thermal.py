@@ -58,6 +58,13 @@ class ThermalModel:
         """Equilibrium temperature at constant ``power_w``."""
         return self.ambient_c + power_w * self.r_thermal_c_per_w
 
+    def rc_coefficients(self, power_w: float, dt_s: float) -> tuple:
+        """``(target, alpha)`` of one RC step of ``dt_s`` seconds at
+        ``power_w``: the step maps ``temp`` to ``target + (temp - target)
+        * alpha``.  The one place the RC formula lives (:meth:`fold` and
+        the cluster nodes' decode-step tables both price steps here)."""
+        return self.steady_state_c(power_w), math.exp(-dt_s / self.tau_s)
+
     def advance(self, power_w: float, dt_s: float) -> float:
         """Advance the RC node by ``dt_s`` seconds at ``power_w`` dissipation.
 
@@ -75,8 +82,7 @@ class ThermalModel:
         """One :meth:`advance` step from ``(temp_c, throttled)`` as a pure
         function: returns the next ``(temp_c, throttled)`` and leaves the
         model untouched (planners fold a trajectory ahead of time)."""
-        target = self.steady_state_c(power_w)
-        alpha = math.exp(-dt_s / self.tau_s)
+        target, alpha = self.rc_coefficients(power_w, dt_s)
         temp_c = target + (temp_c - target) * alpha
         if throttled:
             if temp_c <= self.resume_temp_c:

@@ -92,6 +92,14 @@ class RadixPrefixCache:
     def resident_bytes(self) -> int:
         return self.resident_blocks * self.block_bytes
 
+    @property
+    def pinned_bytes(self) -> int:
+        """Resident bytes :meth:`reclaim` can never free: the whole
+        blocks of every edge on a pinned path."""
+        bt = self.block_tokens
+        return self.block_bytes * sum(
+            n.full_blocks(bt) for n in self._iter_nodes() if n.refs)
+
     def _iter_nodes(self) -> List[_Node]:
         out: List[_Node] = []
         stack = [self._root]

@@ -105,6 +105,14 @@ class Process(Event):
             target.callbacks.append(self._resume)
 
 
+def _raise_unwatched(event: Event) -> None:
+    """Re-raise the failure of a process nobody waits on (a crashed
+    serve loop, sampler or probe must fail the run, not stop quietly).
+    An unhandled :class:`Interrupt` stays a quiet end of the process."""
+    if isinstance(event, Process) and not isinstance(event._value, Interrupt):
+        raise event._value
+
+
 class Environment:
     """Owns simulated time and executes events in timestamp order.
 
@@ -167,6 +175,8 @@ class Environment:
         if when < self._now:
             raise SimulationError("event scheduled in the past")
         self._now = when
+        if not event._ok and not event.callbacks:
+            _raise_unwatched(event)
         event._run_callbacks()
 
     def peek(self) -> float:

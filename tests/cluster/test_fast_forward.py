@@ -23,6 +23,7 @@ from repro.cluster.node import ClusterNode
 from repro.cluster.workload import (TenantProfile, multi_tenant_workload,
                                     shared_prefix_workload)
 from repro.errors import ConfigError
+from repro.fairness import check_books
 from repro.fairness.session import session_workload
 from repro.faults import (FaultClass, FaultEpisode, FaultInjector,
                           FaultScheduleSpec, generate_schedule,
@@ -338,6 +339,101 @@ class TestEvictionDuringAdmission:
         fast = self._run(policy, one_step=False)
         assert fast == self._run(policy, one_step=True)
         assert all(finish is not None for _, finish, _, _ in fast)
+
+
+@contextmanager
+def _no_zero_time_spin(limit=1000):
+    """Fail a run whose node calls ``_admit`` more than ``limit`` times
+    at one instant: a serve loop that re-checks admission without ever
+    yielding, which no DES step cap sees."""
+    admit = ClusterNode._admit
+    calls = {}
+
+    def counted(node):
+        key = (node.node_id, node.env.now)
+        calls[key] = calls.get(key, 0) + 1
+        if calls[key] > limit:
+            raise Stalled(f"node {node.node_id} spins at t={node.env.now}")
+        return admit(node)
+
+    with mock.patch.object(ClusterNode, "_admit", counted):
+        yield
+
+
+def _paged_fleet(router, workload, seed, nodes, rate=0.5, n=8):
+    return {"nodes": nodes, "router": router, "workload": workload,
+            "rate": rate, "n": n, "seed": seed, "hot": False,
+            "faults": "oom", "observed": False, "budget_frac": 0.1}
+
+
+#: Fleets whose runs used to hang: ``trigger*`` spun at one instant (an
+#: empty batch re-checked admission against the budget while ``_admit``
+#: refused against the trigger's limit); ``splitwise*`` lost the prefill
+#: node's serve loop to an exception raised when a shrink evicted a
+#: request mid-prefill.
+HANG_FLEETS = {
+    "trigger": _paged_fleet("least-kv", "prefix", 14, [
+        NodeSpec(NANO8, runtime="paged", max_batch=4, kv_policy="swap-lifo"),
+        NodeSpec(NANO8, runtime="paged", max_batch=4, kv_policy="swap-lifo",
+                 kv_trigger=0.9)]),
+    "trigger-sessions": _paged_fleet("prefix-affinity", "sessions", 23, [
+        NodeSpec(NANO8, runtime="paged", max_batch=2, kv_policy="swap-lru",
+                 kv_trigger=0.9)]),
+    "splitwise-sacrifice": _paged_fleet("splitwise", "prefix", 32, [
+        NodeSpec(NANO8, runtime="paged", max_batch=4, kv_policy="sacrifice")
+        for _ in range(3)], rate=2.0),
+    "splitwise-swap": _paged_fleet("splitwise", "prefix", 32, [
+        NodeSpec(NANO8, runtime="paged", max_batch=4, kv_policy="swap-lru")
+        for _ in range(3)], rate=2.0),
+}
+
+
+class TestHangReproducers:
+    """Fleets that used to hang under shrink faults now finish.  With an
+    empty batch the serve loop re-checks admission only when ``_admit``
+    would admit the queue's candidate, and otherwise sleeps until
+    something wakes it; a prefill evicted mid-prompt stays queued."""
+
+    @pytest.mark.parametrize("name", sorted(HANG_FLEETS))
+    def test_fault_fleet_finishes(self, name):
+        sc = HANG_FLEETS[name]
+        with _no_zero_time_spin():
+            stepped = _serve(sc, one_step=True)
+            fast = _serve(sc, one_step=False)
+        assert _observables(fast) == _observables(stepped)
+        if sc["workload"] != "sessions":  # no abandoned turns to book
+            check_books(fast.last_requests,
+                        sum(n.served_tokens for n in fast.nodes))
+
+    @pytest.mark.parametrize("policy", ["sacrifice", "swap-lifo"])
+    def test_pinned_prefix_refusal_sleeps(self, policy):
+        # As in TestEvictionDuringAdmission, but the shrink holds for
+        # 30 s: under sacrifice the evicted second request keeps its
+        # prompt pinned while it waits, so once the batch empties its
+        # own pin keeps it from fitting until the budget returns.
+        env = Environment()
+        node = ClusterNode(env, 0, get_device(NANO8), get_model("phi2"),
+                           Precision.INT8, backend="paged",
+                           kv_policy=policy, max_batch=4)
+        reqs = [ClusterRequest(req_id=i, arrival_s=i * 1e-4,
+                               input_tokens=64, output_tokens=32,
+                               prompt_ids=tuple(range(100 * i, 100 * i + 64)))
+                for i in range(2)]
+        for r in reqs:
+            node.submit(r)
+
+        def fault():
+            yield env.timeout(1e-3)  # inside the first prefill
+            node.set_kv_shrink((node.kv_in_use - 1) / node._kv_budget_base)
+            yield env.timeout(30.0)
+            node.set_kv_shrink(1.0)
+
+        env.process(fault())
+        with _no_zero_time_spin(), _ledger_checked([node]):
+            env.run(until=120.0)
+        assert all(r.finish_s is not None for r in reqs)
+        assert reqs[1].finish_s > 30.0
+        check_books(reqs, node.served_tokens)
 
 
 class TestTwoObservedNodes:

@@ -1,6 +1,8 @@
 """Fair-scheduler unit behaviour: registry, FCFS, VTC, WSC."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.workload import ClusterRequest
 from repro.errors import ConfigError
@@ -141,3 +143,38 @@ class TestWSC:
         s.on_tokens_served(small, decode_tokens=30)
         # big's 30 tokens cost 10 counter units; small's cost 30.
         assert s.select_next([small, big]) == 1
+
+
+class TestBatchedDecodeMetering:
+    """``on_decode_steps`` leaves every counter bit-identical to billing
+    one decode token per member per step through ``on_tokens_served``."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.sampled_from([VTCScheduler, WSCScheduler]),
+           st.lists(st.sampled_from("abcd"), min_size=1, max_size=8),
+           st.integers(1, 40),
+           st.dictionaries(st.sampled_from("abcd"),
+                           st.floats(0.1, 7.0, allow_nan=False)),
+           st.dictionaries(st.sampled_from("abcd"),
+                           st.floats(0.0, 1e4, allow_nan=False)))
+    def test_equals_per_request_hook(self, cls, tenants, steps, weights,
+                                     start):
+        batch = [req(i, t) for i, t in enumerate(tenants)]
+        members = {}
+        for r in batch:
+            members[r.tenant] = members.get(r.tenant, 0) + 1
+        one, many = cls(weights), cls(weights)
+        one.counters.update(start)
+        many.counters.update(start)
+        for _ in range(steps):
+            for r in batch:
+                one.on_tokens_served(r, decode_tokens=1)
+        many.on_decode_steps(members, steps)
+        assert many.counters == one.counters
+        assert list(many.counter_snapshot().items()) == \
+            list(one.counter_snapshot().items())
+
+    def test_fcfs_meters_nothing(self):
+        fcfs = FCFSScheduler()
+        fcfs.on_decode_steps({"a": 2}, 5)
+        assert fcfs.counter_snapshot() == {}

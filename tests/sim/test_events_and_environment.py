@@ -338,3 +338,55 @@ def test_schedule_at_rejects_double_schedule_and_past():
     env2.run(until=5.0)
     with pytest.raises(SimulationError):
         env2.schedule_at(Event(env2), 3.0)
+
+
+def test_unwatched_process_failure_fails_the_run():
+    env = Environment()
+    done = []
+
+    def crasher():
+        yield env.timeout(1.0)
+        raise RuntimeError("lost")
+
+    def bystander():
+        yield env.timeout(5.0)
+        done.append(env.now)
+
+    env.process(crasher())
+    env.process(bystander())
+    with pytest.raises(RuntimeError, match="lost"):
+        env.run()
+    assert env.now == 1.0 and done == []
+
+
+def test_unwatched_uncaught_interrupt_stays_quiet():
+    env = Environment()
+
+    def sleeper():
+        yield env.timeout(100.0)
+
+    p = env.process(sleeper())
+
+    def interrupter():
+        yield env.timeout(1.0)
+        p.interrupt("stop")
+
+    env.process(interrupter())
+    env.run(until=10.0)
+    assert not p.ok and isinstance(p.value, Interrupt)
+
+
+def test_awaited_failure_reaches_its_waiter():
+    env = Environment()
+
+    def child():
+        yield env.timeout(1.0)
+        raise ValueError("child")
+
+    def parent():
+        try:
+            yield env.process(child())
+        except ValueError as exc:
+            return f"caught {exc}"
+
+    assert env.run(until=env.process(parent())) == "caught child"
