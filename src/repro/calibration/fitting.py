@@ -16,7 +16,6 @@ import math
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from repro.calibration import paperdata
 from repro.engine.kernels import EngineCostParams, StepTimer
@@ -126,6 +125,9 @@ def fit_cost_params(
             pred = predict_latency(params, model, bs, inp, outp, stride=8)
             res.append(math.log(pred / lat))
         return np.array(res)
+
+    # Imported here: scipy costs ~0.5 s and ~40 MB on ``import repro``.
+    from scipy.optimize import least_squares
 
     sol = least_squares(
         residuals, x0, bounds=(lo, hi), method="trf",

@@ -71,7 +71,7 @@ from repro.cluster.workload import ClusterRequest
 from repro.fairness.scheduler import get_fair_scheduler
 from repro.engine.kernels import EngineCostParams, StepCost
 from repro.engine.state import EngineState
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationStalled
 from repro.hardware.device import EdgeDevice
 from repro.hardware.thermal import ThermalModel
 from repro.kvtier.policy import get_kv_policy
@@ -89,6 +89,11 @@ from repro.telemetry.sampler import PowerSampler
 
 #: Workspace bytes reserved out of the KV budget (CUDA context, temps).
 _WORKSPACE_BYTES = int(1e9)
+#: Replays of one request past which a sacrifice raises
+#: :class:`~repro.errors.SimulationStalled`.  The most any committed
+#: workload or artifact replays one request is 86 (``kv_pressure``); a
+#: re-admission livelock passes 1,000 within a fraction of a second.
+MAX_REPLAYS = 1000
 
 
 def natural_kv_budget(device: EdgeDevice, backend,
@@ -833,6 +838,10 @@ class ClusterNode:
         r.kv_state = "sacrificed"
         r.swapped_kv_bytes = 0
         self.kv_sacrifices += 1
+        if r.replays > MAX_REPLAYS:
+            raise SimulationStalled(
+                self.node_id, r.req_id, r.replays, len(self.queue),
+                len(self.active), self.kv_in_use)
         if self.obs.enabled:
             self.obs.instant(
                 kinds.KV_TRANSFER, cat=kinds.CAT_REQUEST,

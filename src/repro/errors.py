@@ -20,6 +20,28 @@ class SimulationError(ReproError):
     """The discrete-event simulation kernel detected an inconsistency."""
 
 
+class SimulationStalled(SimulationError):
+    """A run stopped making progress: one request keeps being evicted
+    and re-admitted without ever finishing (a replay livelock).
+
+    Carries where it happened and the node's state at that point, so
+    the failing cell can be diagnosed without rerunning it.
+    """
+
+    def __init__(self, node_id: int, req_id: int, replays: int,
+                 queue_len: int, active: int, kv_in_use: int):
+        self.node_id = node_id
+        self.req_id = req_id
+        self.replays = replays
+        self.queue_len = queue_len
+        self.active = active
+        self.kv_in_use = kv_in_use
+        super().__init__(
+            f"node {node_id}: request {req_id} was sacrificed and replayed "
+            f"{replays} times without finishing (queue {queue_len}, "
+            f"active {active}, KV in use {kv_in_use} B)")
+
+
 class OutOfMemoryError(ReproError):
     """The simulated device ran out of shared CPU/GPU memory.
 

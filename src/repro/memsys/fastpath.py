@@ -399,6 +399,138 @@ class AllocatorMirror:
         )
 
 
+def _grow_by_segment(mirror: AllocatorMirror, kv: List[tuple],
+                     steps: Tuple[int, ...], j: int) -> Tuple[int, bool]:
+    """Replay KV-growth tokens ``j, j+1, ...`` at segment granularity.
+
+    Applies while every KV tensor is the only used block of its own
+    large-pool segment.  Then one token is a best-fit chain over
+    fully-free large segments ("holes"): each tensor takes the smallest
+    hole that fits (or a fresh segment) at offset 0, and the segment it
+    leaves coalesces into a new hole.  The entry test below rules out
+    every other free block for this token, and because the tensor size
+    only grows it keeps ruling them out for every later one:
+
+    - every tensor has the same rounded size ``S`` and is alone in its
+      segment (any offset);
+    - the next size ``S'`` is large-pool and ``>= S``;
+    - no free block inside a tensor's segment fits ``S'``, and none
+      will once the tensor leaves: the widest such segment minus ``S``
+      is below ``S'``.  As large segments are at least 20 MiB, this also
+      puts ``S'`` above 10 MiB, so a fresh segment leaves a remainder
+      below ``S'``;
+    - every free block ``>= S'`` lies in a hole that would leave a
+      remainder below ``S'``.
+
+    During the run the large-pool index holds only foreign free blocks
+    and holes (``(size, seq, 0, seg)``, whose order is the mirror's
+    best-fit order) and ``used_blocks`` stays exact, so the mirror's own
+    ``_new_segment`` (capacity check, OOM retry, reclaim of both pools)
+    and ``_reclaim`` run unchanged.  The free-span dicts of the segments
+    it touches, and the tensors' remainders in the index, are written
+    once on exit.
+
+    Returns the first token not replayed and whether it ran out of
+    memory; ``kv`` holds the (partial) handles either way.  Returns
+    ``(j, False)`` without touching anything when the test fails.
+    """
+    rounded = _round_up(steps[j], ROUND_SMALL)
+    size = kv[0][3]
+    if size < SMALL_LARGE_THRESHOLD or rounded < size:
+        return j, False
+    widest = 0
+    for seg, _, _, r in kv:
+        if r != size or len(seg.used_blocks) != 1:
+            return j, False
+        if seg.size > widest:
+            widest = seg.size
+    if widest - size >= rounded:
+        return j, False
+    idx = mirror.index["large"]
+    for free, _, _, seg in idx[bisect_left(idx, (rounded, -1, -1)):]:
+        if seg.used_blocks or free - rounded >= rounded:
+            return j, False
+
+    held = {h[0] for h in kv}
+    idx[:] = [e for e in idx if e[3] not in held]
+    entry = list(kv)
+    gc_threshold = mirror.gc_threshold
+    dead_cap = mirror.dead_cap_bytes
+    allocated = mirror.allocated
+    reserved = mirror.reserved
+    dead = mirror.dead_bytes
+    peak = mirror.peak_allocated
+    n_allocs = 0
+    oom = False
+    n_tokens = len(steps)
+    try:
+        while j < n_tokens:
+            rounded = _round_up(steps[j], ROUND_SMALL)
+            if rounded < size:
+                break
+            key = (rounded, -1, -1)
+            split = rounded + ROUND_SMALL
+            for i, (old, _, _, old_rounded) in enumerate(kv):
+                k = bisect_left(idx, key)
+                if k < len(idx):
+                    seg_size, _, _, seg = idx.pop(k)
+                else:
+                    mirror.allocated = allocated
+                    mirror.dead_bytes = dead
+                    seg = mirror._new_segment(rounded, "large")
+                    seg_size = seg.size
+                    reserved = mirror.reserved
+                    dead = mirror.dead_bytes
+                dead -= seg_size
+                # Remainders under 512 B stay attached to the used block.
+                used = rounded if seg_size >= split else seg_size
+                seg.used_blocks[0] = used
+                kv[i] = (seg, 0, used, rounded)
+                allocated += rounded
+                n_allocs += 1
+                if allocated > peak:
+                    peak = allocated
+                # Free the old tensor: its segment coalesces into a hole.
+                old.used_blocks.clear()
+                insort(idx, (old.size, old.seq, 0, old))
+                dead += old.size
+                allocated -= old_rounded
+                if (gc_threshold is not None
+                        and 1.0 - allocated / reserved > gc_threshold
+                        or dead_cap is not None and dead > dead_cap):
+                    mirror.allocated = allocated
+                    mirror.dead_bytes = dead
+                    mirror._reclaim()
+                    reserved = mirror.reserved
+                    dead = mirror.dead_bytes
+            size = rounded
+            j += 1
+    except OutOfMemoryError:
+        # ``_new_segment`` raised after ``allocated`` and ``dead_bytes``
+        # were written back (and may have reclaimed since).
+        oom = True
+    else:
+        mirror.allocated = allocated
+        mirror.dead_bytes = dead
+    mirror.peak_allocated = peak
+    mirror.n_allocs += n_allocs
+
+    for free, _, _, seg in idx:
+        if not seg.used_blocks:
+            seg.free_starts = {0: free}
+            seg.free_ends = {free: 0}
+    for h, h0 in zip(kv, entry):
+        if h is not h0:
+            seg, _, used, _ = h
+            rest = seg.size - used
+            seg.free_starts = {used: rest} if rest else {}
+            seg.free_ends = {seg.size: used} if rest else {}
+    idx.extend((free, h[0].seq, off, h[0])
+               for h in kv for off, free in h[0].free_starts.items())
+    idx.sort()
+    return j, oom
+
+
 def simulate_stream(mirror: AllocatorMirror,
                     stream: StreamSpec) -> Optional[Tuple[str, int]]:
     """Run one batch's op stream on a mirror; returns the OOM marker.
@@ -406,7 +538,9 @@ def simulate_stream(mirror: AllocatorMirror,
     Replays :meth:`BatchExecutor.run` exactly, including the partial
     states an OOM leaves behind (a mid-``append_token`` failure keeps
     the not-yet-grown handles; cleanup frees whatever is live, in the
-    executor's ``finally`` order).
+    executor's ``finally`` order).  KV growth without eager buffers is
+    replayed a segment at a time whenever :func:`_grow_by_segment`
+    applies, checked again at every token boundary.
     """
     oom: Optional[Tuple[str, int]] = None
     ws = None
@@ -420,20 +554,29 @@ def simulate_stream(mirror: AllocatorMirror,
             eager = mirror.alloc(stream.eager_prefill_bytes)
     except OutOfMemoryError:
         oom = ("setup", 0)
-    if oom is None:
-        for j in range(stream.n_tokens):
-            try:
-                if stream.kv_step_bytes:
-                    per = stream.kv_step_bytes[j]
-                    for i in range(stream.n_kv_tensors):
-                        kv[i] = mirror.realloc_grow(kv[i], per)
-                if stream.eager_step_bytes:
-                    buf, eager = eager, None
-                    mirror.free(buf)
-                    eager = mirror.alloc(stream.eager_step_bytes[j])
-            except OutOfMemoryError:
+    by_segment = (bool(kv) and bool(stream.kv_step_bytes)
+                  and not stream.eager_step_bytes)
+    j = 0
+    while oom is None and j < stream.n_tokens:
+        if by_segment:
+            j, out = _grow_by_segment(mirror, kv, stream.kv_step_bytes, j)
+            if out:
                 oom = ("decode", j)
                 break
+            if j == stream.n_tokens:
+                break
+        try:
+            if stream.kv_step_bytes:
+                per = stream.kv_step_bytes[j]
+                for i in range(stream.n_kv_tensors):
+                    kv[i] = mirror.realloc_grow(kv[i], per)
+            if stream.eager_step_bytes:
+                buf, eager = eager, None
+                mirror.free(buf)
+                eager = mirror.alloc(stream.eager_step_bytes[j])
+        except OutOfMemoryError:
+            oom = ("decode", j)
+        j += 1
     if eager is not None:
         mirror.free(eager)
     for h in kv:

@@ -92,15 +92,35 @@ def blockwise_quantize(
     absmax = np.abs(blocks).max(axis=1, keepdims=True)
     safe = np.where(absmax == 0.0, 1.0, absmax)
     normed = blocks / safe
-    # Nearest codebook entry per value.
-    idx = np.abs(normed[..., None] - codebook[None, None, :]).argmin(axis=-1)
     return BlockwiseQuantized(
-        codes=idx.astype(np.uint8),
+        codes=_nearest_code(normed, codebook),
         absmax=absmax.astype(np.float32),
         shape=w.shape,
         codebook=codebook,
         block_size=block_size,
     )
+
+
+def _nearest_code(x: np.ndarray, codebook: np.ndarray) -> np.ndarray:
+    """Index of the nearest entry of the ascending ``codebook`` per value.
+
+    The same pick as ``np.abs(x[..., None] - codebook).argmin(-1)`` on
+    finite input, without its ``x.size * len(codebook)`` distance array:
+    ``searchsorted`` on the midpoints gives a candidate, then the float32
+    distances of it and its two neighbours decide, ties going to the
+    lower index as ``argmin``'s first minimum does.  Codes are spaced far
+    wider than a float32 ulp, so the nearest code is always in that window.
+    """
+    last = len(codebook) - 1
+    cand = np.searchsorted((codebook[:-1] + codebook[1:]) / 2, x)
+    best = np.maximum(cand - 1, 0)
+    dist = np.abs(x - codebook[best])
+    for nxt in (cand, np.minimum(cand + 1, last)):
+        d = np.abs(x - codebook[nxt])
+        closer = d < dist
+        best = np.where(closer, nxt, best)
+        dist = np.where(closer, d, dist)
+    return best.astype(np.uint8)
 
 
 def blockwise_dequantize(q: BlockwiseQuantized) -> np.ndarray:

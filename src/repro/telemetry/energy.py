@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from repro.errors import ConfigError
 from repro.telemetry.sampler import PowerSample
@@ -25,7 +24,7 @@ def trapezoid_energy_j(samples: Sequence[PowerSample]) -> float:
     p = np.array([s.power_w for s in samples])
     if (np.diff(t) < 0).any():
         raise ConfigError("power samples must be time-ordered")
-    return float(trapezoid(p, t))
+    return float(np.trapezoid(p, t))
 
 
 def median_power_w(

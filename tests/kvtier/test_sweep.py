@@ -1,10 +1,12 @@
 """The ``repro kvtier`` sweep: determinism, identity, reporting."""
 
 import dataclasses
+import time
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.cluster.node import MAX_REPLAYS
+from repro.errors import ConfigError, SimulationStalled
 from repro.kvtier import KvTierSpec, run_kvtier
 from repro.kvtier.policy import KV_TIER_VERSION
 
@@ -39,6 +41,23 @@ class TestDeterminism:
                     if r["policy"].startswith("swap")}
         assert by_share[0.5]["prefix_hit_tokens"] > 0
         assert by_share[0.5]["p50_ttft_s"] < by_share[0.0]["p50_ttft_s"]
+
+
+class TestReplayLivelock:
+    def test_tiny_budget_sacrifice_cell_stalls_with_a_typed_error(self):
+        """At 0.2% of the natural budget a sacrificed request is
+        re-admitted straight away and evicted again, forever; the run
+        must end with the stall, not hang."""
+        spec = KvTierSpec(kv_budget_frac=0.002, policies=("sacrifice",),
+                          triggers=(1.0,), share_ratios=(0.0,))
+        t0 = time.perf_counter()
+        with pytest.raises(SimulationStalled) as info:
+            run_kvtier(spec)
+        assert time.perf_counter() - t0 < 30.0
+        err = info.value
+        assert err.replays == MAX_REPLAYS + 1
+        assert err.node_id == 0 and err.active >= 1 and err.kv_in_use > 0
+        assert f"request {err.req_id}" in str(err)
 
 
 class TestIdentity:

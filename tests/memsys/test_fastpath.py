@@ -5,17 +5,25 @@ The fast-forward trajectory machinery is only sound if the mirror is a
 rounding, same coalescing, same GC and OOM-retry decisions, in the same
 order.  These tests drive both implementations with identical operation
 streams (random fuzz plus the executor's structured batch stream) and
-compare full state fingerprints after every step.
+compare full state fingerprints after every step.  The segment-granularity
+replay of KV growth is checked the same way, against the mirror with it
+switched off and against the real allocator, batch by batch.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import OutOfMemoryError
+from repro.memsys import fastpath
 from repro.memsys.allocator import CachingAllocator
 from repro.memsys.fastpath import (
     TRAJECTORY_CACHE,
@@ -253,3 +261,244 @@ def test_trajectory_cache_lru_bound_and_clear():
 
 def test_process_global_cache_exists():
     assert isinstance(TRAJECTORY_CACHE, TrajectoryCache)
+
+
+# -- segment-granularity KV growth vs the per-reallocation mirror ---------
+
+
+@dataclass
+class _RegimeLog:
+    """What happened inside ``_grow_by_segment`` runs that replayed at
+    least one token (or hit an OOM)."""
+
+    runs: int = 0
+    oom: bool = False
+    reclaims: int = 0
+    offsets: bool = False
+    small_holes: bool = False
+    large_holes: bool = False
+    absorbed: bool = False
+    entries: List[int] = field(default_factory=list)
+
+
+@contextmanager
+def _watch_regime():
+    log = _RegimeLog()
+    real = fastpath._grow_by_segment
+
+    def watched(m, kv, steps, j):
+        offsets = any(h[1] for h in kv)
+        small = any(not s.used_blocks for s in m.pools["small"])
+        large = any(not s.used_blocks for s in m.pools["large"])
+        reclaims = m.n_reclaims
+        j2, oom = real(m, kv, steps, j)
+        if j2 > j or oom:
+            log.runs += 1
+            log.oom |= oom
+            log.reclaims += m.n_reclaims - reclaims
+            log.offsets |= offsets
+            log.small_holes |= small
+            log.large_holes |= large
+            log.absorbed |= any(h[2] == h[0].size for h in kv)
+            log.entries.append(j)
+        return j2, oom
+
+    with mock.patch.object(fastpath, "_grow_by_segment", watched):
+        yield log
+
+
+def _mirror_only(m, kv, steps, j):
+    return j, False
+
+
+def _outcome(allocator: CachingAllocator, stream: StreamSpec,
+             by_segment: bool):
+    mirror = AllocatorMirror(allocator)
+    if by_segment:
+        oom = simulate_stream(mirror, stream)
+    else:
+        with mock.patch.object(fastpath, "_grow_by_segment", _mirror_only):
+            oom = simulate_stream(mirror, stream)
+    return oom, mirror.fingerprint(), mirror.delta(oom)
+
+
+@dataclass(frozen=True)
+class _Case:
+    capacity: int
+    gc_threshold: Optional[float]
+    dead_cap: Optional[int]
+    #: Warm-up allocations (bytes, freed?) that leave weights, partly
+    #: used segments and holes in both pools before the batch.
+    warm: Tuple[Tuple[int, bool], ...]
+    stream: StreamSpec
+
+    def allocator(self) -> CachingAllocator:
+        alloc = CachingAllocator(self.capacity, gc_threshold=self.gc_threshold,
+                                 dead_cap_bytes=self.dead_cap)
+        held = []
+        for nbytes, freed in self.warm:
+            try:
+                h = alloc.alloc(nbytes)
+            except OutOfMemoryError:
+                continue
+            held.append((h, freed))
+        for h, freed in held:
+            if freed:
+                alloc.free(h)
+        return alloc
+
+
+_SIZES = st.one_of(
+    st.integers(64 * KiB, MiB - 1),            # small pool
+    st.integers(MiB, 12 * MiB),                # packed into 20 MiB
+    st.integers(10 * MiB, 40 * MiB),           # one tensor per segment
+    st.sampled_from([20 * MiB, 22 * MiB, 24 * MiB, 10 * MiB + 512]),
+)
+
+
+@st.composite
+def _cases(draw) -> _Case:
+    n_tokens = draw(st.integers(1, 40))
+    prefill = draw(_SIZES)
+    growth = draw(st.sampled_from([512, 2 * KiB, 48 * KiB, 512 * KiB,
+                                   MiB, 2 * MiB]))
+    jitter = draw(st.integers(0, 511))
+    steps = [prefill + (j + 1) * growth - jitter for j in range(n_tokens)]
+    # The executor only grows tensors; a dip back to the prefill size
+    # makes the segment replay hand back to the mirror mid-stream.
+    dip = draw(st.one_of(st.none(), st.integers(0, n_tokens - 1)))
+    if dip is not None:
+        steps[dip] = prefill
+    stream = StreamSpec(
+        workspace_bytes=draw(_SIZES),
+        n_kv_tensors=draw(st.integers(1, 6)),
+        kv_prefill_bytes=prefill,
+        kv_step_bytes=tuple(steps),
+        eager_prefill_bytes=None,
+        eager_step_bytes=(),
+        n_tokens=n_tokens,
+    )
+    warm = draw(st.lists(st.tuples(_SIZES, st.booleans()), max_size=8))
+    return _Case(
+        capacity=draw(st.integers(60, 400)) * MiB,
+        gc_threshold=draw(st.one_of(st.none(), st.floats(0.05, 1.0))),
+        dead_cap=draw(st.one_of(st.none(),
+                                st.integers(0, 120).map(lambda n: n * MiB))),
+        warm=tuple(warm),
+        stream=stream,
+    )
+
+
+def _check_case(case: _Case) -> _RegimeLog:
+    """Segment replay == mirror-only replay == the real allocator."""
+    reference = _outcome(case.allocator(), case.stream, by_segment=False)
+    with _watch_regime() as log:
+        got = _outcome(case.allocator(), case.stream, by_segment=True)
+    assert got[0] == reference[0], "OOM marker differs"
+    assert got[1] == reference[1], "end-state fingerprint differs"
+    assert got[2] == reference[2], "trajectory delta differs"
+    real = case.allocator()
+    assert _replay_stream_real(real, case.stream) == got[0]
+    assert state_fingerprint(real) == got[1]
+    return log
+
+
+def test_segment_replay_matches_mirror_and_allocator():
+    """Hypothesis differential: whole batches with and without the
+    segment replay, and on the real allocator.  The suite must actually
+    exercise the regime and each of its rare paths, or it proves
+    nothing."""
+    logs: List[Tuple[_Case, _RegimeLog]] = []
+
+    # One tensor outgrowing the small pool 2 MiB a token: it climbs
+    # through one 20 MiB segment, so it enters the regime at an offset.
+    climb = StreamSpec(
+        workspace_bytes=64 * KiB, n_kv_tensors=1, kv_prefill_bytes=64 * KiB,
+        kv_step_bytes=tuple(64 * KiB + (j + 1) * 2 * MiB for j in range(6)),
+        eager_prefill_bytes=None, eager_step_bytes=(), n_tokens=6)
+
+    @settings(max_examples=300, deadline=None, database=None,
+              derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=_cases())
+    @example(case=_Case(capacity=60 * MiB, gc_threshold=None,
+                        dead_cap=None, warm=(), stream=climb))
+    # Four tensors climbing 2 MiB a token past a 34 MiB hole: one ends
+    # up alone inside it with small free blocks either side, and must
+    # not enter the regime while the hole it leaves could be shared.
+    @example(case=_Case(
+        capacity=400 * MiB, gc_threshold=None, dead_cap=None,
+        warm=((10486721, False), (20 * MiB, False), (34 * MiB, True)),
+        stream=StreamSpec(
+            workspace_bytes=1048634, n_kv_tensors=4,
+            kv_prefill_bytes=659461,
+            kv_step_bytes=tuple(659461 + (j + 1) * 2 * MiB - 511
+                                for j in range(10)),
+            eager_prefill_bytes=None, eager_step_bytes=(), n_tokens=10)))
+    # Two tensors packed into a freed 24 MiB segment move out one by
+    # one and leave it whole: a hole that would keep a 13 MiB remainder
+    # for the second tensor, so the regime must wait.  The dead cap
+    # makes the packing visible in the end state.
+    @example(case=_Case(
+        capacity=400 * MiB, gc_threshold=None, dead_cap=30 * MiB,
+        warm=((23 * MiB, True),),
+        stream=StreamSpec(
+            workspace_bytes=64 * KiB, n_kv_tensors=2,
+            kv_prefill_bytes=10 * MiB,
+            kv_step_bytes=tuple(10 * MiB + (j + 1) * 512 * KiB
+                                for j in range(4)),
+            eager_prefill_bytes=None, eager_step_bytes=(), n_tokens=4)))
+    # A tensor leaving a small-pool segment for the large pool: its old
+    # segment is not a large-pool hole, so the regime must wait.
+    @example(case=_Case(
+        capacity=400 * MiB, gc_threshold=None, dead_cap=MiB, warm=(),
+        stream=StreamSpec(
+            workspace_bytes=20 * MiB, n_kv_tensors=1,
+            kv_prefill_bytes=900 * KiB,
+            kv_step_bytes=(1200 * KiB, 1500 * KiB, 1800 * KiB),
+            eager_prefill_bytes=None, eager_step_bytes=(), n_tokens=3)))
+    def run(case):
+        logs.append((case, _check_case(case)))
+
+    run()
+    entered = [(c, lg) for c, lg in logs if lg.runs]
+    assert len(entered) >= len(logs) // 4
+    seen = {
+        "oom": any(lg.oom for _, lg in entered),
+        "dead-cap reclaim": any(lg.reclaims and c.gc_threshold is None
+                                and c.dead_cap is not None
+                                for c, lg in entered),
+        "gc-fraction reclaim": any(lg.reclaims and c.dead_cap is None
+                                   and c.gc_threshold is not None
+                                   for c, lg in entered),
+        "small-pool holes": any(lg.small_holes for _, lg in entered),
+        "large-pool holes": any(lg.large_holes for _, lg in entered),
+        "non-zero offsets": any(lg.offsets for _, lg in entered),
+        "absorbed remainders": any(lg.absorbed for _, lg in entered),
+        "re-entry": any(len(lg.entries) > 1 for _, lg in entered),
+    }
+    assert all(seen.values()), seen
+
+
+def test_segment_replay_oom_mid_token_keeps_partial_handles():
+    """Fresh 22 MiB segments run out after the first tensors of a token:
+    the marker, the grown and not-yet-grown handles and the cleanup
+    must all match the mirror."""
+    stream = StreamSpec(
+        workspace_bytes=MiB, n_kv_tensors=4, kv_prefill_bytes=20 * MiB,
+        kv_step_bytes=tuple(20 * MiB + (j + 1) * 512 * KiB
+                            for j in range(8)),
+        eager_prefill_bytes=None, eager_step_bytes=(), n_tokens=8)
+    case = _Case(capacity=150 * MiB, gc_threshold=None, dead_cap=None,
+                 warm=((3 * MiB, False), (40 * MiB, True)), stream=stream)
+    log = _check_case(case)
+    assert log.runs and log.oom
+    oom = _outcome(case.allocator(), stream, by_segment=True)[0]
+    assert oom is not None and oom[0] == "decode"
+
+
+def test_eager_streams_stay_on_the_mirror():
+    stream = _batch_stream(eager=True)
+    with _watch_regime() as log:
+        simulate_stream(AllocatorMirror(CachingAllocator(256 * MiB)), stream)
+    assert log.runs == 0

@@ -13,6 +13,7 @@ from repro.quant import (
     blockwise_quantize,
     llm_int8_decompose,
 )
+from repro.quant.blockwise import INT4_CODEBOOK, _nearest_code
 
 
 class TestAbsmax:
@@ -85,6 +86,47 @@ class TestBlockwise:
         w = rng.standard_normal((16, 16)).astype(np.float32)
         q = blockwise_quantize(w)
         assert q.codes.max() <= 15
+
+    @staticmethod
+    def _argmin_codes(x, codebook):
+        """The n x 16 distance-array pick the quantizer used to make."""
+        return np.abs(x[..., None] - codebook).argmin(axis=-1).astype(np.uint8)
+
+    @pytest.mark.parametrize("codebook", [NF4_CODEBOOK, INT4_CODEBOOK],
+                             ids=["nf4", "int4"])
+    def test_nearest_code_equals_argmin_on_random_slabs(self, rng, codebook):
+        for scale in (1.0, 0.05, 1e-3):
+            x = np.clip(rng.standard_normal((257, 64)) * scale,
+                        -1, 1).astype(np.float32)
+            np.testing.assert_array_equal(_nearest_code(x, codebook),
+                                          self._argmin_codes(x, codebook))
+
+    @pytest.mark.parametrize("codebook", [NF4_CODEBOOK, INT4_CODEBOOK],
+                             ids=["nf4", "int4"])
+    def test_nearest_code_equals_argmin_at_midpoints(self, codebook):
+        """Ties and near-ties: each midpoint (float32 and float64-rounded),
+        one ulp either side, the codes themselves and the ends."""
+        mids = np.concatenate([
+            (codebook[:-1] + codebook[1:]) / 2,
+            ((codebook[:-1].astype(np.float64) + codebook[1:]) / 2
+             ).astype(np.float32),
+        ])
+        up = np.float32(2)
+        x = np.concatenate([
+            mids, np.nextafter(mids, up), np.nextafter(mids, -up),
+            codebook, np.nextafter(codebook, up),
+            np.nextafter(codebook, -up),
+        ]).astype(np.float32)
+        np.testing.assert_array_equal(_nearest_code(x, codebook),
+                                      self._argmin_codes(x, codebook))
+
+    def test_quantize_codes_equal_argmin_pick(self, rng):
+        w = rng.standard_normal((40, 64)).astype(np.float32)
+        normed = w / np.abs(w).max(axis=1, keepdims=True)
+        for scheme in ("nf4", "int4"):
+            q = blockwise_quantize(w, block_size=64, scheme=scheme)
+            np.testing.assert_array_equal(
+                q.codes, self._argmin_codes(normed, q.codebook))
 
     def test_validation(self):
         with pytest.raises(QuantizationError):
