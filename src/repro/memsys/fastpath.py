@@ -16,7 +16,9 @@ that:
   rounding, pooled segments, best-fit with the same (size, pool
   position, offset) tie-break, remainder splitting, free coalescing,
   GC-threshold / dead-cap / OOM-retry reclaim — on an indexed copy
-  where best-fit is a ``bisect`` instead of a scan.
+  where best-fit is a ``bisect`` instead of a scan.  One decoded token's
+  reallocation of every KV tensor is one fused call
+  (:meth:`AllocatorMirror.grow_tensors`).
 - :func:`TrajectoryCache.delta_for` simulates one batch's entire op
   stream (:class:`StreamSpec`) on a mirror and memoizes the resulting
   :class:`TrajectoryDelta` by ``(fingerprint, stream)``.  Because the
@@ -290,12 +292,103 @@ class AllocatorMirror:
         self.allocated -= rounded
         self._maybe_gc()
 
-    def realloc_grow(self, handle: tuple, nbytes: int) -> tuple:
-        # Alloc-new-then-free-old, like the real allocator: the OOM (if
-        # any) fires before the old handle is released.
-        new = self.alloc(nbytes)
-        self.free(handle)
-        return new
+    def grow_tensors(self, kv: List[tuple], nbytes: int) -> None:
+        """Reallocate every handle in ``kv`` to ``nbytes``, in list order.
+
+        One decoded token: ``kv[i] = alloc(nbytes)`` then ``free(old)``
+        for each ``i``, with :meth:`alloc`, :meth:`free` and
+        :meth:`_maybe_gc` inlined.  The rounded size, pool, search key
+        and split size are computed once; the counters live in locals
+        and are written back before every :meth:`_new_segment` and
+        :meth:`_reclaim` call and on exit.  An OOM fires before the old
+        handle is released, like the real allocator's alloc-new-then-
+        free-old, so it leaves ``kv[:i]`` grown, ``kv[i:]`` as they were
+        and the counters as :meth:`_new_segment` left them.
+        """
+        rounded = _round_up(int(nbytes), ROUND_SMALL)
+        pool = "small" if rounded < SMALL_LARGE_THRESHOLD else "large"
+        idx = self.index[pool]
+        key = (rounded, -1, -1)
+        # A block at least this big leaves a remainder worth splitting.
+        split = rounded + ROUND_SMALL
+        gc_threshold = self.gc_threshold
+        dead_cap = self.dead_cap_bytes
+        allocated = self.allocated
+        reserved = self.reserved
+        dead = self.dead_bytes
+        peak = self.peak_allocated
+        n_allocs = self.n_allocs
+        for i, (old, old_offset, old_used, old_rounded) in enumerate(kv):
+            # -- alloc: best fit, else a fresh segment ----------------------
+            k = bisect_left(idx, key)
+            if k < len(idx):
+                size, _, offset, seg = idx.pop(k)
+                del seg.free_starts[offset]
+                del seg.free_ends[offset + size]
+            else:
+                self.allocated = allocated
+                self.dead_bytes = dead
+                self.peak_allocated = peak
+                self.n_allocs = n_allocs
+                seg = self._new_segment(rounded, pool)
+                reserved = self.reserved
+                dead = self.dead_bytes
+                size, offset = seg.size, 0
+            if not seg.used_blocks:
+                dead -= seg.size
+            if size >= split:
+                used = rounded
+                roff = offset + rounded
+                seg.free_starts[roff] = size - rounded
+                seg.free_ends[offset + size] = roff
+                insort(idx, (size - rounded, seg.seq, roff, seg))
+            else:
+                # Too small to track separately: absorbed into the used span.
+                used = size
+            seg.used_blocks[offset] = used
+            allocated += rounded
+            n_allocs += 1
+            if allocated > peak:
+                peak = allocated
+            kv[i] = (seg, offset, used, rounded)
+
+            # -- free the old handle, coalescing right then left ------------
+            del old.used_blocks[old_offset]
+            fidx = idx if old.pool == pool else self.index[old.pool]
+            start = old_offset
+            size = old_used
+            end = old_offset + old_used
+            right = old.free_starts.pop(end, None)
+            if right is not None:
+                del old.free_ends[end + right]
+                del fidx[bisect_left(fidx, (right, old.seq, end))]
+                size += right
+            left_start = old.free_ends.pop(old_offset, None)
+            if left_start is not None:
+                left_size = old.free_starts.pop(left_start)
+                del fidx[bisect_left(fidx, (left_size, old.seq, left_start))]
+                start = left_start
+                size += left_size
+            old.free_starts[start] = size
+            old.free_ends[start + size] = start
+            insort(fidx, (size, old.seq, start, old))
+            if not old.used_blocks:
+                dead += old.size
+            allocated -= old_rounded
+
+            # -- _maybe_gc (``reserved`` is never 0: kv[i] holds a block) --
+            if (gc_threshold is not None
+                    and 1.0 - allocated / reserved > gc_threshold
+                    or dead_cap is not None and dead > dead_cap):
+                self.allocated = allocated
+                self.dead_bytes = dead
+                self._reclaim()
+                reserved = self.reserved
+                dead = self.dead_bytes
+        self.allocated = allocated
+        self.dead_bytes = dead
+        self.peak_allocated = peak
+        self.n_allocs = n_allocs
 
     # -- internals ----------------------------------------------------------
     @staticmethod
@@ -540,7 +633,8 @@ def simulate_stream(mirror: AllocatorMirror,
     the not-yet-grown handles; cleanup frees whatever is live, in the
     executor's ``finally`` order).  KV growth without eager buffers is
     replayed a segment at a time whenever :func:`_grow_by_segment`
-    applies, checked again at every token boundary.
+    applies, checked again at every token boundary; every other token's
+    KV growth is one :meth:`AllocatorMirror.grow_tensors` call.
     """
     oom: Optional[Tuple[str, int]] = None
     ws = None
@@ -567,9 +661,7 @@ def simulate_stream(mirror: AllocatorMirror,
                 break
         try:
             if stream.kv_step_bytes:
-                per = stream.kv_step_bytes[j]
-                for i in range(stream.n_kv_tensors):
-                    kv[i] = mirror.realloc_grow(kv[i], per)
+                mirror.grow_tensors(kv, stream.kv_step_bytes[j])
             if stream.eager_step_bytes:
                 buf, eager = eager, None
                 mirror.free(buf)

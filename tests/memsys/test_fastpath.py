@@ -5,9 +5,12 @@ The fast-forward trajectory machinery is only sound if the mirror is a
 rounding, same coalescing, same GC and OOM-retry decisions, in the same
 order.  These tests drive both implementations with identical operation
 streams (random fuzz plus the executor's structured batch stream) and
-compare full state fingerprints after every step.  The segment-granularity
-replay of KV growth is checked the same way, against the mirror with it
-switched off and against the real allocator, batch by batch.
+compare full state fingerprints after every step.  The fused per-token
+pass (``AllocatorMirror.grow_tensors``) is checked token by token against
+a per-tensor ``alloc`` + ``free`` oracle and the real allocator.  The
+segment-granularity replay of KV growth is checked the same way, against
+the mirror with it switched off and against the real allocator, batch by
+batch.
 """
 
 from __future__ import annotations
@@ -105,13 +108,16 @@ def test_mirror_matches_real_allocator_step_by_step(seed, knobs):
                 rh2 = real.realloc_grow(rh, grown)
             except OutOfMemoryError as e:
                 r_exc = e
+            grow = [mh]
             try:
-                mh2 = mirror.realloc_grow(mh, grown)
+                mirror.grow_tensors(grow, grown)
             except OutOfMemoryError as e:
                 m_exc = e
             assert (r_exc is None) == (m_exc is None)
             if r_exc is None:
-                live[i] = (rh2, mh2)
+                live[i] = (rh2, grow[0])
+            else:
+                assert grow == [mh]
         assert mirror.fingerprint() == state_fingerprint(real)
 
     # Counters the delta folds back must match the real deltas too.
@@ -357,7 +363,7 @@ _SIZES = st.one_of(
 
 
 @st.composite
-def _cases(draw) -> _Case:
+def _cases(draw, eager: bool = False) -> _Case:
     n_tokens = draw(st.integers(1, 40))
     prefill = draw(_SIZES)
     growth = draw(st.sampled_from([512, 2 * KiB, 48 * KiB, 512 * KiB,
@@ -369,13 +375,20 @@ def _cases(draw) -> _Case:
     dip = draw(st.one_of(st.none(), st.integers(0, n_tokens - 1)))
     if dip is not None:
         steps[dip] = prefill
+    eager_prefill, eager_steps = None, ()
+    if eager:
+        # The score buffer grows with the context, like the KV tensors.
+        eager_prefill = draw(_SIZES)
+        eager_growth = draw(st.sampled_from([2 * KiB, 128 * KiB, MiB]))
+        eager_steps = tuple(eager_prefill + (j + 1) * eager_growth
+                            for j in range(n_tokens))
     stream = StreamSpec(
         workspace_bytes=draw(_SIZES),
         n_kv_tensors=draw(st.integers(1, 6)),
         kv_prefill_bytes=prefill,
         kv_step_bytes=tuple(steps),
-        eager_prefill_bytes=None,
-        eager_step_bytes=(),
+        eager_prefill_bytes=eager_prefill,
+        eager_step_bytes=eager_steps,
         n_tokens=n_tokens,
     )
     warm = draw(st.lists(st.tuples(_SIZES, st.booleans()), max_size=8))
@@ -502,3 +515,231 @@ def test_eager_streams_stay_on_the_mirror():
     with _watch_regime() as log:
         simulate_stream(AllocatorMirror(CachingAllocator(256 * MiB)), stream)
     assert log.runs == 0
+
+
+# -- the fused token pass vs per-tensor alloc + free ----------------------
+
+
+def _grow_oracle(mirror: AllocatorMirror, kv: List[tuple],
+                 nbytes: int) -> None:
+    """What ``grow_tensors`` must equal: alloc-new-then-free-old, one
+    tensor at a time, through the mirror's own ``alloc`` and ``free``."""
+    for i, old in enumerate(kv):
+        kv[i] = mirror.alloc(nbytes)
+        mirror.free(old)
+
+
+_COUNTERS = ("allocated", "reserved", "dead_bytes", "peak_allocated",
+             "peak_reserved", "n_allocs", "n_segment_allocs", "n_reclaims",
+             "n_oom_retries")
+
+
+def _mirror_view(m: AllocatorMirror, kv: List[tuple]) -> tuple:
+    """Everything observable on a mirror: fingerprint, counters, the
+    best-fit index and the handles (segments by creation seq)."""
+    return (m.fingerprint(),
+            tuple(getattr(m, c) for c in _COUNTERS),
+            {p: [e[:3] for e in m.index[p]] for p in m.index},
+            [(h[0].seq,) + h[1:] for h in kv])
+
+
+def _mirror_handles(m: AllocatorMirror, kv: List[tuple]) -> list:
+    return [(h[0].pool, m.pools[h[0].pool].index(h[0])) + h[1:] for h in kv]
+
+
+def _real_handles(a: CachingAllocator, kv: list) -> list:
+    return [(h.segment.pool, a._pools[h.segment.pool].index(h.segment),
+             h.block.offset, h.block.size, h.rounded) for h in kv]
+
+
+@dataclass
+class _TokenLog:
+    """Rare paths the oracle walked through (the fused pass must match
+    it on each)."""
+
+    oom_mid_token: bool = False
+    gc_frac_mid_token: bool = False
+    dead_cap_mid_token: bool = False
+    cross_pool_first: bool = False
+    absorbed: bool = False
+    stirred: bool = False
+
+
+@dataclass(frozen=True)
+class _Tokens:
+    """A KV prefill, then per-token reallocation of every tensor, with an
+    optional eager-style buffer freed and re-allocated between tokens."""
+
+    case: _Case
+    n_tensors: int
+    prefill: int
+    steps: Tuple[int, ...]
+    stir: Tuple[Optional[int], ...]
+
+
+@st.composite
+def _token_runs(draw) -> _Tokens:
+    case = draw(_cases())
+    n = len(case.stream.kv_step_bytes)
+    steps = list(case.stream.kv_step_bytes)
+    # Any size, not only growth: tokens may shrink or cross pools.
+    for j in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        steps[j] = draw(_SIZES)
+    stir = draw(st.lists(st.one_of(st.none(), _SIZES), min_size=n,
+                         max_size=n))
+    return _Tokens(case=case, n_tensors=case.stream.n_kv_tensors,
+                   prefill=case.stream.kv_prefill_bytes,
+                   steps=tuple(steps), stir=tuple(stir))
+
+
+def _check_tokens(run: _Tokens) -> _TokenLog:
+    """Fused pass == oracle == real allocator after every token, in OOM
+    partial states and after cleanup."""
+    log = _TokenLog()
+    real = run.case.allocator()
+    fused, oracle = AllocatorMirror(real), AllocatorMirror(real)
+    real.reset_peaks()
+    base = (real.stats.n_allocs, real.stats.n_segment_allocs,
+            real.stats.n_reclaims, real.stats.n_oom_retries)
+    try:
+        kv_r = [real.alloc(run.prefill) for _ in range(run.n_tensors)]
+    except OutOfMemoryError:
+        return log
+    kv_f = [fused.alloc(run.prefill) for _ in range(run.n_tensors)]
+    kv_o = [oracle.alloc(run.prefill) for _ in range(run.n_tensors)]
+    buf = None
+    for j, nbytes in enumerate(run.steps):
+        before = list(kv_o)
+        n_reclaims = oracle.n_reclaims
+        oom = None
+        for i, old in enumerate(kv_o):
+            try:
+                kv_o[i] = oracle.alloc(nbytes)
+            except OutOfMemoryError as e:
+                oom = (i, e.requested_bytes, e.available_bytes)
+                log.oom_mid_token |= i > 0
+                break
+            log.cross_pool_first |= j == 0 and old[0].pool != kv_o[i][0].pool
+            seg, offset, used, _ = kv_o[i]
+            # No free block split off: the remainder (under 512 B, so 0,
+            # as every size is a multiple of 512 B) stays in the block.
+            log.absorbed |= offset + used not in seg.free_starts
+            oracle.free(old)
+            if oracle.n_reclaims > n_reclaims and i < run.n_tensors - 1:
+                c = run.case
+                log.gc_frac_mid_token |= c.dead_cap is None
+                log.dead_cap_mid_token |= c.gc_threshold is None
+            n_reclaims = oracle.n_reclaims
+        oom_f = oom_r = None
+        try:
+            fused.grow_tensors(kv_f, nbytes)
+        except OutOfMemoryError as e:
+            oom_f = (e.requested_bytes, e.available_bytes)
+        for i in range(run.n_tensors):
+            try:
+                kv_r[i] = real.realloc_grow(kv_r[i], nbytes)
+            except OutOfMemoryError as e:
+                oom_r = (i, e.requested_bytes, e.available_bytes)
+                break
+        assert oom_r == oom
+        assert oom_f == (oom and oom[1:])
+        assert _mirror_view(fused, kv_f) == _mirror_view(oracle, kv_o)
+        if oom is not None:
+            # Grown handles first, the not-yet-grown ones untouched.
+            assert kv_o[oom[0]:] == before[oom[0]:]
+        assert _mirror_handles(fused, kv_f) == _real_handles(real, kv_r)
+        assert fused.fingerprint() == state_fingerprint(real)
+        assert (fused.peak_allocated, fused.peak_reserved) == (
+            real.stats.peak_allocated, real.stats.peak_reserved)
+        assert (fused.n_allocs, fused.n_segment_allocs, fused.n_reclaims,
+                fused.n_oom_retries) == tuple(
+            getattr(real.stats, c) - b for c, b in zip(
+                ("n_allocs", "n_segment_allocs", "n_reclaims",
+                 "n_oom_retries"), base))
+        if oom is not None:
+            break
+        if buf is not None:
+            for m, h in ((fused, buf[0]), (oracle, buf[1]), (real, buf[2])):
+                m.free(h)
+            buf = None
+        if run.stir[j] is not None:
+            log.stirred = True
+            got = []
+            for m in (fused, oracle, real):
+                try:
+                    got.append(m.alloc(run.stir[j]))
+                except OutOfMemoryError:
+                    pass
+            if len(got) < 3:
+                assert not got, "OOM divergence on the stirring buffer"
+                break
+            buf = tuple(got)
+    for k, (m, kv) in enumerate(((fused, kv_f), (oracle, kv_o),
+                                 (real, kv_r))):
+        if buf is not None:
+            m.free(buf[k])
+        for h in kv:
+            m.free(h)
+    assert _mirror_view(fused, []) == _mirror_view(oracle, [])
+    assert fused.fingerprint() == state_fingerprint(real)
+    return log
+
+
+def test_fused_token_pass_matches_oracle_and_allocator():
+    """Hypothesis differential of ``grow_tensors``.  The suite must reach
+    every rare path of a token, or it proves nothing."""
+    logs: List[_TokenLog] = []
+
+    def boundary(gc_threshold, dead_cap, step):
+        # One 10 MiB tensor moves to a fresh segment and leaves its old
+        # 20 MiB segment fully free: exactly at the GC knob's boundary.
+        unused = StreamSpec(workspace_bytes=1, n_kv_tensors=1,
+                            kv_prefill_bytes=1, kv_step_bytes=(),
+                            eager_prefill_bytes=None, eager_step_bytes=(),
+                            n_tokens=0)
+        case = _Case(capacity=400 * MiB, gc_threshold=gc_threshold,
+                     dead_cap=dead_cap, warm=(), stream=unused)
+        return _Tokens(case=case, n_tensors=1, prefill=10 * MiB,
+                       steps=(step,), stir=(None,))
+
+    @settings(max_examples=250, deadline=None, database=None,
+              derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(run=_token_runs())
+    # Free fraction 1 - 20/40 == 0.5 and 20 MiB dead == the cap: no
+    # reclaim, as both tests are strict.
+    @example(run=boundary(0.5, None, 20 * MiB))
+    @example(run=boundary(None, 20 * MiB, 12 * MiB))
+    def check(run):
+        logs.append(_check_tokens(run))
+
+    check()
+    seen = {name: any(getattr(lg, name) for lg in logs)
+            for name in _TokenLog.__dataclass_fields__}
+    assert all(seen.values()), seen
+
+
+def test_eager_streams_match_oracle_and_allocator():
+    """Whole eager-buffer batches (the KV part on the fused pass, the
+    buffer on ``alloc``/``free``) against the per-tensor oracle and the
+    real allocator."""
+    ooms = []
+
+    @settings(max_examples=120, deadline=None, database=None,
+              derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=_cases(eager=True))
+    def check(case):
+        got = _outcome(case.allocator(), case.stream, by_segment=True)
+        with mock.patch.object(AllocatorMirror, "grow_tensors", _grow_oracle):
+            reference = _outcome(case.allocator(), case.stream,
+                                 by_segment=True)
+        assert got == reference
+        real = case.allocator()
+        assert _replay_stream_real(real, case.stream) == got[0]
+        assert state_fingerprint(real) == got[1]
+        ooms.append(got[0])
+
+    check()
+    assert any(o is None for o in ooms)
+    assert any(o is not None and o[0] == "decode" for o in ooms)
