@@ -62,22 +62,62 @@ def test_sides_must_pair_up():
         perf_pairs.summarize([], [], METRICS)
 
 
+def test_pairs_swap_which_side_runs_first():
+    calls = []
+
+    def fake_run(tree, workload, seed):
+        calls.append((tree, seed))
+        return _run(seed, 1.0)
+
+    trees = {"parent": Path("p"), "change": Path("c")}
+    runs = list(perf_pairs.run_pairs(trees, "w", [5, 6, 7, 8], fake_run))
+    assert calls == [(Path("p"), 5), (Path("c"), 5), (Path("c"), 6),
+                     (Path("p"), 6), (Path("p"), 7), (Path("c"), 7),
+                     (Path("c"), 8), (Path("p"), 8)]
+    assert [(r["side"], r["seed"]) for r in runs] == [
+        ("parent", 5), ("change", 5), ("change", 6), ("parent", 6),
+        ("parent", 7), ("change", 7), ("change", 8), ("parent", 8)]
+    # Each result lands on its own side, whichever side ran first.
+    seeds, parent, change = perf_pairs.split_sides(runs)
+    assert seeds == [5, 6, 7, 8]
+    assert [r["side"] for r in parent] == ["parent"] * 4
+    assert [r["side"] for r in change] == ["change"] * 4
+    assert [r["metrics"]["configs_per_s"]["value"] for r in change] == [
+        5, 6, 7, 8]
+
+
+def test_split_sides_needs_one_run_per_side_and_seed():
+    p, c = dict(PARENT[0], side="parent", seed=1), dict(CHANGE[0],
+                                                        side="change", seed=1)
+    with pytest.raises(ValueError):
+        perf_pairs.split_sides([p])
+    with pytest.raises(ValueError):
+        perf_pairs.split_sides([p, c, dict(p)])
+    with pytest.raises(ValueError):
+        perf_pairs.split_sides([p, dict(c, side="other")])
+
+
 def test_lines_and_record_append(tmp_path, capsys):
     (tmp_path / "BENCHMARK.json").write_text(
-        json.dumps({"end_to_end": METRICS}))
+        json.dumps({"end_to_end": METRICS, "run_seconds": 9}))
+    tagged = [dict(r, side=side, seed=10 + i)
+              for i, pair in enumerate(zip(PARENT, CHANGE))
+              for side, r in zip(perf_pairs.SIDES, pair)]
+    # Saved lines pair up by their tags, not by their position.
     lines = tmp_path / "runs.jsonl"
-    lines.write_text("\n".join(json.dumps(r) for pair in zip(PARENT, CHANGE)
-                               for r in pair) + "\n")
+    lines.write_text("\n".join(json.dumps(r) for r in tagged[::-1]) + "\n")
     for _ in range(2):
         perf_pairs.main(["--change", str(tmp_path), "--workload", "w",
                          "--lines", str(lines), "--record", "--pr", "7",
-                         "--parent-sha", "abc1234"])
+                         "--parent-sha", "abc1234", "--sha", "def5678"])
     out = capsys.readouterr().out
     assert "configs_per_s" in out and "4/5" in out
     records = json.loads((tmp_path / perf_pairs.TRAJECTORY).read_text())
     assert len(records) == 2
     rec = records[0]
-    assert (rec["pr"], rec["parent"], rec["workload"], rec["pairs"]) == (
-        7, "abc1234", "w", 5)
+    assert (rec["pr"], rec["parent"], rec["sha"], rec["workload"],
+            rec["pairs"], rec["seconds"]) == (7, "abc1234", "def5678", "w",
+                                              5, 9)
+    assert rec["seeds"] == [14, 13, 12, 11, 10]
     assert rec["metrics"]["configs_per_s"]["won"] == 4
     assert "_runs" not in rec["metrics"] and rec["bad_runs"] == 0

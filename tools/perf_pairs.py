@@ -1,20 +1,23 @@
 """Paired perfbench runs of two source trees, and a committed trajectory.
 
-Runs ``perfbench/run.py`` alternately in a parent tree and a change tree
-(parent first in each pair, one seed per pair), then prints, for every
-end-to-end metric in ``BENCHMARK.json``, the median and quartiles of
-each side and how many pairs the change won.  Host noise on small
-machines is often 10% or more, so one run per side says little; the
-parent's quartiles show how wide that noise was.
+Runs ``perfbench/run.py`` in a parent tree and a change tree, one pair
+of runs per seed, for the benchmark's ``run_seconds`` each.  The side
+that runs first swaps from pair to pair (parent first in even pairs,
+change first in odd ones), so an effect of running second, such as a
+warmer file cache or host drift, does not always land on one side.  It
+then prints, for every end-to-end metric in ``BENCHMARK.json``, the
+median and quartiles of each side and how many pairs the change won.
+Host noise on small machines is often 10% or more, so one run per side
+says little; the parent's quartiles show how wide that noise was.
 
     python3 tools/perf_pairs.py --parent ../parent --change . \\
         --workload study_cold --pairs 10 --first-seed 2
 
 ``--record`` appends the summary as one record to ``BENCH_perf.json``
-in the change tree's root (a JSON list, oldest first).  ``--lines``
-summarises JSON lines saved from earlier runs instead of running
-anything (alternating parent, change; pair ``i`` ran seed
-``--first-seed + i``).
+in the change tree's root (a JSON list, oldest first).  Every run is
+printed as one JSON line tagged with its ``side`` and ``seed``;
+``--lines`` summarises such lines saved from earlier runs instead of
+running anything, pairing them up by seed whatever their order.
 """
 
 from __future__ import annotations
@@ -25,18 +28,55 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, \
+    Sequence, Tuple
 
 TRAJECTORY = "BENCH_perf.json"
+SIDES = ("parent", "change")
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     """One perfbench run in ``tree``; returns its final JSON line."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--trace", "0"],
         cwd=tree, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def run_pairs(trees: Dict[str, Path], workload: str, seeds: Sequence[int],
+              run: Callable[[Path, str, int], dict] = run_once
+              ) -> Iterator[dict]:
+    """Yields each run tagged with its side and seed, in the order run.
+
+    Pair ``i`` runs seed ``seeds[i]`` on both sides, parent first when
+    ``i`` is even and change first when it is odd.
+    """
+    for i, seed in enumerate(seeds):
+        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            yield {"side": side, "seed": seed,
+                   **run(trees[side], workload, seed)}
+
+
+def split_sides(runs: Iterable[dict]
+                ) -> Tuple[List[int], List[dict], List[dict]]:
+    """Pairs tagged runs up by seed: (seeds, parent runs, change runs).
+
+    Seeds keep the order of their first run; every seed needs exactly
+    one run per side.
+    """
+    by_seed: Dict[int, Dict[str, dict]] = {}
+    for r in runs:
+        pair = by_seed.setdefault(r["seed"], {})
+        if r["side"] not in SIDES or r["side"] in pair:
+            raise ValueError(f"seed {r['seed']}: unexpected or repeated "
+                             f"{r['side']!r} run")
+        pair[r["side"]] = r
+    if any(len(pair) != len(SIDES) for pair in by_seed.values()):
+        raise ValueError("every seed needs one run per side")
+    seeds = list(by_seed)
+    return (seeds, [by_seed[s]["parent"] for s in seeds],
+            [by_seed[s]["change"] for s in seeds])
 
 
 def spread(values: Sequence[float]) -> Dict[str, float]:
@@ -108,13 +148,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=2)
-    ap.add_argument("--seconds", type=float, default=12)
     ap.add_argument("--lines", type=Path,
                     help="summarise saved JSON lines instead of running")
     ap.add_argument("--record", action="store_true",
                     help=f"append the summary to {TRAJECTORY}")
     ap.add_argument("--pr", type=int, help="PR number for the record")
     ap.add_argument("--parent-sha", help="parent commit for the record")
+    ap.add_argument("--sha", help="change commit for the record")
     args = ap.parse_args(argv)
 
     change = args.change.resolve()
@@ -122,27 +162,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.lines is not None:
         runs = [json.loads(line) for line in args.lines.read_text().split("\n")
                 if line.startswith("{")]
-        parent, changed = runs[0::2], runs[1::2]
-        seeds = list(range(args.first_seed, args.first_seed + len(parent)))
     else:
-        seeds = list(range(args.first_seed, args.first_seed + args.pairs))
         if args.parent is None:
             ap.error("--parent is required unless --lines is given")
-        parent, changed = [], []
-        for seed in seeds:
-            for tree, side in ((args.parent.resolve(), parent),
-                               (change, changed)):
-                side.append(run_once(tree, args.workload, seed, args.seconds))
-                print(json.dumps(side[-1]), flush=True)
+        runs = []
+        trees = {"parent": args.parent.resolve(), "change": change}
+        seeds = range(args.first_seed, args.first_seed + args.pairs)
+        for r in run_pairs(trees, args.workload, seeds):
+            print(json.dumps(r), flush=True)
+            runs.append(r)
+    seeds, parent, changed = split_sides(runs)
     summary = summarize(parent, changed, bench["end_to_end"])
     print(format_summary(summary))
     if args.record:
-        runs = summary.pop("_runs")
+        counts = summary.pop("_runs")
         append_record(change / TRAJECTORY, {
-            "pr": args.pr, "parent": args.parent_sha,
-            "workload": args.workload, "pairs": runs["pairs"],
-            "seeds": seeds,
-            "seconds": args.seconds, "bad_runs": runs["bad_runs"],
+            "pr": args.pr, "parent": args.parent_sha, "sha": args.sha,
+            "workload": args.workload, "pairs": counts["pairs"],
+            "seeds": seeds, "seconds": bench["run_seconds"],
+            "bad_runs": counts["bad_runs"],
             "metrics": summary, "source": "perfbench"})
     return 0
 
