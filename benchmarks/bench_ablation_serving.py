@@ -7,11 +7,8 @@ without losing aggregate throughput.
 
 import copy
 
-from repro.engine.scheduler import (
-    ContinuousBatchScheduler,
-    StaticBatchScheduler,
-    poisson_workload,
-)
+from repro.cluster import EdgeCluster, FleetSpec, NodeSpec, poisson_workload
+from repro.engine.scheduler import ServingReport, StaticBatchScheduler
 from repro.hardware import get_device
 from repro.models import get_model
 from repro.quant.dtypes import Precision
@@ -23,10 +20,16 @@ def _build():
     for rate in (1.0, 3.0, 6.0):
         reqs = poisson_workload(rate, 48, input_tokens=32, output_tokens=64,
                                 seed=11)
-        for cls in (StaticBatchScheduler, ContinuousBatchScheduler):
-            sched = cls(get_device("jetson-orin-agx-64gb"), get_model("llama"),
-                        Precision.FP16, max_batch=32)
-            report = sched.serve(copy.deepcopy(reqs))
+        static = StaticBatchScheduler(
+            get_device("jetson-orin-agx-64gb"), get_model("llama"),
+            Precision.FP16, max_batch=32).serve(copy.deepcopy(reqs))
+        # Continuous batching is a 1-node fleet's serving loop.
+        cluster = EdgeCluster.of(FleetSpec.of(
+            [NodeSpec("jetson-orin-agx-64gb", max_batch=32)],
+            model="llama", precision="fp16"))
+        cluster.run(copy.deepcopy(reqs))
+        cont = ServingReport.from_requests("continuous", cluster.last_requests)
+        for report in (static, cont):
             rows.append({"rate_req_s": rate, **report.as_row()})
     return rows
 

@@ -4,8 +4,8 @@
 The paper's §4 points at dedicated inference engines as future work.
 This example quantifies the headroom: a Poisson request stream is served
 by the paper's run-to-completion static batching and by an Orca/vLLM
-style iteration-level scheduler, over the same calibrated Orin cost
-model.  Continuous batching collapses tail time-to-first-token because
+style iteration-level scheduler (a 1-node fleet's serving loop), over
+the same calibrated Orin cost model.  Continuous batching collapses tail time-to-first-token because
 arrivals no longer wait for a draining batch.
 
 Run:  python examples/serving_comparison.py [requests_per_second]
@@ -14,11 +14,8 @@ Run:  python examples/serving_comparison.py [requests_per_second]
 import copy
 import sys
 
-from repro.engine.scheduler import (
-    ContinuousBatchScheduler,
-    StaticBatchScheduler,
-    poisson_workload,
-)
+from repro.cluster import EdgeCluster, FleetSpec, NodeSpec, poisson_workload
+from repro.engine.scheduler import ServingReport, StaticBatchScheduler
 from repro.hardware import get_device
 from repro.models import get_model
 from repro.quant.dtypes import Precision
@@ -32,12 +29,15 @@ def main(rate: float = 3.0) -> None:
           f"64 requests of 32 in + 64 out tokens\n")
     reqs = poisson_workload(rate, 64, input_tokens=32, output_tokens=64, seed=7)
 
-    rows = []
-    for cls in (StaticBatchScheduler, ContinuousBatchScheduler):
-        sched = cls(get_device("jetson-orin-agx-64gb"), model,
-                    Precision.FP16, max_batch=32)
-        report = sched.serve(copy.deepcopy(reqs))
-        rows.append(report.as_row())
+    static = StaticBatchScheduler(get_device("jetson-orin-agx-64gb"), model,
+                                  Precision.FP16, max_batch=32)
+    cluster = EdgeCluster.of(FleetSpec.of(
+        [NodeSpec("jetson-orin-agx-64gb", max_batch=32)],
+        model="llama", precision="fp16"))
+    cluster.run(copy.deepcopy(reqs))
+    rows = [static.serve(copy.deepcopy(reqs)).as_row(),
+            ServingReport.from_requests("continuous",
+                                        cluster.last_requests).as_row()]
     print(format_table(rows, title="static vs continuous batching"))
 
     static, cont = rows

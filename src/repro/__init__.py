@@ -40,10 +40,6 @@ per-table/figure reproductions, and ``docs/mechanisms.md`` for how the
 simulation works.
 """
 
-# The engine must initialise before the cluster package: cluster.workload
-# imports engine.scheduler, whose lazy re-exports point back at cluster.
-from repro.engine import GenerationSpec, RunResult, ServingEngine
-
 from repro.backends import (
     RuntimeBackend,
     get_backend,
@@ -79,6 +75,7 @@ from repro.core import (
     runtime_sweep,
     seq_len_sweep,
 )
+from repro.engine import GenerationSpec, RunResult, ServingEngine
 from repro.errors import OutOfMemoryError, ReproError
 from repro.fairness import (
     FairnessSpec,

@@ -13,24 +13,23 @@ Build a heterogeneous fleet declaratively from a
 ...     ["jetson-orin-agx-64gb", "jetson-xavier-agx-32gb"],
 ...     model="llama", precision="fp16", policy="energy-aware")
 >>> report = EdgeCluster.of(fleet).run(poisson_workload(2.0, 50))
-
-(The legacy ``EdgeCluster.build(specs, ...)`` kwargs path survives as a
-DeprecationWarning shim that constructs the same ``FleetSpec``.)
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.cluster.node import ClusterNode
 from repro.cluster.router import Router, SplitwiseRouter, get_router
 from repro.cluster.slo import ClusterReport, SLOSpec, build_report
-from repro.cluster.workload import ClusterRequest, as_cluster_requests
+from repro.cluster.workload import (
+    ClusterRequest,
+    ServeRequest,
+    as_cluster_requests,
+)
 from repro.engine.kernels import EngineCostParams
-from repro.engine.scheduler import ServeRequest
 from repro.errors import ConfigError, ExperimentError
 from repro.fairness.scheduler import get_fair_scheduler
 from repro.fairness.session import Interaction
@@ -211,45 +210,6 @@ class EdgeCluster:
         return cls(nodes, get_router(fleet.policy, **fleet.router_kwargs()),
                    env, slo=slo, retry=retry, observer=observer,
                    throttle=throttle, tenant_weights=tenant_weights)
-
-    @classmethod
-    def build(
-        cls,
-        specs: Sequence[NodeSpec],
-        model: str = "llama",
-        precision: str = "fp16",
-        policy: str = "round-robin",
-        slo: Optional[SLOSpec] = None,
-        params: Optional[EngineCostParams] = None,
-        power_model: Optional[PowerModel] = None,
-        sample_period_s: float = 1.0,
-        retry: Optional[RetryPolicy] = None,
-        observer: Optional[Observer] = None,
-        throttle: Optional[TokenThrottle] = None,
-        tenant_weights: Optional[Dict[str, float]] = None,
-        **router_kwargs,
-    ) -> "EdgeCluster":
-        """Deprecated kwargs path; use a :class:`FleetSpec` with ``of``.
-
-        Constructs the equivalent ``FleetSpec`` and delegates, so the
-        two surfaces are byte-identical by construction (pinned with
-        exact equality in ``tests/sustain/test_fleet_spec.py``).
-        """
-        warnings.warn(
-            "EdgeCluster.build(specs, ...) is deprecated; describe the "
-            "fleet with FleetSpec.of(...) and instantiate it with "
-            "EdgeCluster.of(fleet, ...)",
-            DeprecationWarning, stacklevel=2)
-        from repro.cluster.fleet import FleetSpec
-
-        if not specs:
-            raise ConfigError("cluster needs at least one node spec")
-        fleet = FleetSpec.of(list(specs), model=model, precision=precision,
-                             policy=policy, **router_kwargs)
-        return cls.of(fleet, slo=slo, params=params, power_model=power_model,
-                      sample_period_s=sample_period_s, retry=retry,
-                      observer=observer, throttle=throttle,
-                      tenant_weights=tenant_weights)
 
     def attach_autoscaler(self, autoscaler) -> None:
         """Register a power-mode autoscaler (started when ``run`` begins)."""

@@ -1,16 +1,11 @@
 """Spec-first fleet construction: the declarative `FleetSpec`.
 
-Fleet construction was the last surface still assembled from loose
-keyword arguments (``EdgeCluster.build(specs, model=..., policy=...,
-**router_kwargs)``).  :class:`FleetSpec` completes the spec-first API
-redesign: one frozen, hashable value describes the whole fleet —
-regions, device presets, per-node model/precision/runtime/kv-policy/
-power-mode, the routing policy with its knobs, and the carbon/price
-trace bound to each region — and :meth:`EdgeCluster.of
-<repro.cluster.cluster.EdgeCluster.of>` instantiates it.  The legacy
-``build`` path remains as a DeprecationWarning shim that constructs a
-``FleetSpec`` and delegates here, so the two are byte-identical by
-construction (pinned by ``tests/sustain/test_fleet_spec.py``).
+:class:`FleetSpec` is the spec-first fleet description: one frozen,
+hashable value describes the whole fleet — regions, device presets,
+per-node model/precision/runtime/kv-policy/power-mode, the routing
+policy with its knobs, and the carbon/price trace bound to each region
+— and :meth:`EdgeCluster.of <repro.cluster.cluster.EdgeCluster.of>`
+instantiates it.
 
 Being a plain dataclass of tuples, a ``FleetSpec`` folds directly into
 content-addressed sweep cache keys via ``dataclasses.asdict``.

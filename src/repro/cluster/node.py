@@ -1,11 +1,11 @@
 """One serving node: a device, its engine loop, queue and energy meter.
 
 A :class:`ClusterNode` wraps an :class:`~repro.hardware.device.EdgeDevice`
-with a continuous-batching serving loop (iteration-level scheduling, the
-same discipline as
-:class:`~repro.engine.scheduler.ContinuousBatchScheduler`) running as a
-process on a *shared* simulation environment, so many nodes coexist on
-one clock.  Each node owns:
+with a continuous-batching serving loop (iteration-level scheduling,
+Orca/vLLM style; the repo's only one, so a 1-node fleet is the
+single-device continuous-batching baseline) running as a process on a
+*shared* simulation environment, so many nodes coexist on one clock.
+Each node owns:
 
 - an admission queue with a depth cap (back-pressure) and a KV-budget
   check (requests whose full KV footprint can never fit are refused

@@ -1,12 +1,12 @@
 """Request-trace generators for single-device and cluster serving.
 
-The engine's original inline helper only produced fixed-shape Poisson
-arrivals; real edge deployments see anything but.  This module is the
-single workload API both the single-device schedulers and the cluster
-layer draw from:
+Real edge deployments see anything but fixed-shape Poisson arrivals.
+This module is the single workload API both the paper's static-batch
+scheduler and the cluster layer draw from, and it defines the request
+records they serve (:class:`ServeRequest`, :class:`ClusterRequest`):
 
-- :func:`poisson_workload` — the original memoryless stream (moved here
-  from ``repro.engine.scheduler``, which re-exports it).
+- :func:`poisson_workload` — the memoryless stream with fixed-shape
+  requests.
 - :func:`bursty_workload` — a two-state Markov-modulated Poisson
   process (MMPP-2): calm and burst phases with exponential sojourns,
   the standard parsimonious model of flash-crowd traffic.
@@ -27,8 +27,67 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.engine.scheduler import ServeRequest
 from repro.errors import ExperimentError, WorkloadError
+
+
+@dataclass
+class ServeRequest:
+    """One inference request in the arrival stream."""
+
+    req_id: int
+    arrival_s: float
+    input_tokens: int
+    output_tokens: int
+    first_token_s: Optional[float] = None
+    finish_s: Optional[float] = None
+    generated: int = 0
+    #: Decode tokens thrown away by preemption or KV-state loss; each
+    #: one was produced (and billed) once already and must be redone.
+    lost_tokens: int = 0
+    #: How many times this request restarted from scratch.
+    replays: int = 0
+    #: Token-ID prompt (optional).  When present on the paged backend,
+    #: the radix prefix cache can share KV blocks with other requests
+    #: whose prompts start identically.
+    prompt_ids: Optional[tuple] = None
+    #: Sim time of the most recent decode token (LRU victim selection).
+    last_token_s: Optional[float] = None
+    #: Prompt tokens served from the shared-prefix cache (block-aligned).
+    prefix_cached_tokens: int = 0
+
+    def reset_for_replay(self) -> None:
+        """Drop in-flight state after preemption / KV loss.
+
+        The recompute-style discipline: generated tokens are discarded
+        (counted in ``lost_tokens``), the request re-prefills wherever
+        it lands next, and the first-token clock keeps its *original*
+        value if a token was already streamed — the client saw it.
+        """
+        if self.generated:
+            self.lost_tokens += self.generated
+            self.replays += 1
+        self.generated = 0
+        self.finish_s = None
+
+    @property
+    def ttft_s(self) -> Optional[float]:
+        """Time to first token."""
+        if self.first_token_s is None:
+            return None
+        return self.first_token_s - self.arrival_s
+
+    @property
+    def latency_s(self) -> Optional[float]:
+        if self.finish_s is None:
+            return None
+        return self.finish_s - self.arrival_s
+
+    @property
+    def tpot_s(self) -> Optional[float]:
+        """Time per output token after the first."""
+        if self.finish_s is None or self.first_token_s is None or self.output_tokens < 2:
+            return None
+        return (self.finish_s - self.first_token_s) / (self.output_tokens - 1)
 
 
 @dataclass
@@ -373,7 +432,7 @@ def shared_prefix_workload(
 
 
 def as_cluster_requests(requests: Sequence[ServeRequest]) -> List[ClusterRequest]:
-    """Upgrade plain engine requests to cluster requests (shared shapes)."""
+    """Upgrade plain requests to cluster requests (shared shapes)."""
     out = []
     for r in requests:
         if isinstance(r, ClusterRequest):
@@ -381,5 +440,6 @@ def as_cluster_requests(requests: Sequence[ServeRequest]) -> List[ClusterRequest
         else:
             out.append(ClusterRequest(req_id=r.req_id, arrival_s=r.arrival_s,
                                       input_tokens=r.input_tokens,
-                                      output_tokens=r.output_tokens))
+                                      output_tokens=r.output_tokens,
+                                      prompt_ids=r.prompt_ids))
     return out

@@ -19,23 +19,14 @@ from repro.engine.kernels import EngineCostParams, StepCost, StepTimer
 from repro.engine.request import BatchRequest, BatchResult, GenerationSpec
 from repro.engine.runtime import RunResult, ServingEngine
 from repro.engine.state import EngineState
-from repro.engine.scheduler import (
-    ContinuousBatchScheduler,
-    ServeRequest,
-    ServingReport,
-    StaticBatchScheduler,
-    poisson_workload,
-)
+from repro.engine.scheduler import ServingReport, StaticBatchScheduler
 from repro.engine.splitwise import SplitServingResult, simulate_phase_split
 from repro.engine.sustained import SustainedSample, run_sustained
 
 __all__ = [
-    "ContinuousBatchScheduler",
-    "ServeRequest",
     "ServingReport",
     "SplitServingResult",
     "StaticBatchScheduler",
-    "poisson_workload",
     "simulate_phase_split",
     "BatchRequest",
     "BatchResult",

@@ -1,31 +1,32 @@
-"""Request-level serving simulation: static vs continuous batching.
+"""Request-level serving simulation: the paper's static batching.
 
 The paper serves *static* batches (HF ``generate`` over a fixed prompt
 set) and points to dedicated inference engines as future work (§4).
-This module simulates both disciplines over the same calibrated cost
-model, with Poisson request arrivals on the DES:
+:class:`StaticBatchScheduler` simulates that discipline over the
+calibrated cost model, with Poisson request arrivals on the DES: collect
+up to ``max_batch`` requests (or wait out ``max_wait_s``), run the batch
+to completion, repeat.  Simple, but late arrivals wait for the whole
+previous batch.
 
-- :class:`StaticBatchScheduler` — collect up to ``max_batch`` requests
-  (or wait out ``max_wait_s``), run the batch to completion, repeat.
-  Simple, but late arrivals wait for the whole previous batch.
-- :class:`ContinuousBatchScheduler` — iteration-level scheduling in the
-  Orca/vLLM style: after every decode step, finished sequences retire
-  and queued requests are admitted (paying their prefill) while the KV
-  budget allows, so the GPU never idles on a draining batch.
+The continuous-batching counterpart (iteration-level scheduling, Orca/
+vLLM style) is a 1-node fleet: :class:`~repro.cluster.node.ClusterNode`
+is the one continuous-batching loop, and
+:meth:`ServingReport.from_requests` folds its served requests into the
+same report shape.
 
-Both report per-request metrics: time-to-first-token, time-per-output-
-token, end-to-end latency, plus aggregate percentiles and goodput.
+Reports carry per-request metrics: time-to-first-token, time-per-output-
+token, end-to-end latency, plus aggregate percentiles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.engine.kernels import EngineCostParams, StepTimer
-from repro.errors import ExperimentError, OutOfMemoryError
+from repro.errors import ExperimentError
 from repro.hardware.device import EdgeDevice
 from repro.models.architecture import TransformerArchitecture
 from repro.models.footprint import weight_bytes
@@ -33,75 +34,8 @@ from repro.quant.dtypes import Precision
 from repro.sim.environment import Environment
 from repro.sim.resources import Store
 
-
-@dataclass
-class ServeRequest:
-    """One inference request in the arrival stream."""
-
-    req_id: int
-    arrival_s: float
-    input_tokens: int
-    output_tokens: int
-    first_token_s: Optional[float] = None
-    finish_s: Optional[float] = None
-    generated: int = 0
-    #: Decode tokens thrown away by preemption or KV-state loss; each
-    #: one was produced (and billed) once already and must be redone.
-    lost_tokens: int = 0
-    #: How many times this request restarted from scratch.
-    replays: int = 0
-    #: Token-ID prompt (optional).  When present on the paged backend,
-    #: the radix prefix cache can share KV blocks with other requests
-    #: whose prompts start identically.
-    prompt_ids: Optional[tuple] = None
-    #: Sim time of the most recent decode token (LRU victim selection).
-    last_token_s: Optional[float] = None
-    #: Prompt tokens served from the shared-prefix cache (block-aligned).
-    prefix_cached_tokens: int = 0
-
-    def reset_for_replay(self) -> None:
-        """Drop in-flight state after preemption / KV loss.
-
-        The recompute-style discipline: generated tokens are discarded
-        (counted in ``lost_tokens``), the request re-prefills wherever
-        it lands next, and the first-token clock keeps its *original*
-        value if a token was already streamed — the client saw it.
-        """
-        if self.generated:
-            self.lost_tokens += self.generated
-            self.replays += 1
-        self.generated = 0
-        self.finish_s = None
-
-    @property
-    def ttft_s(self) -> Optional[float]:
-        """Time to first token."""
-        if self.first_token_s is None:
-            return None
-        return self.first_token_s - self.arrival_s
-
-    @property
-    def latency_s(self) -> Optional[float]:
-        if self.finish_s is None:
-            return None
-        return self.finish_s - self.arrival_s
-
-    @property
-    def tpot_s(self) -> Optional[float]:
-        """Time per output token after the first."""
-        if self.finish_s is None or self.first_token_s is None or self.output_tokens < 2:
-            return None
-        return (self.finish_s - self.first_token_s) / (self.output_tokens - 1)
-
-
-def __getattr__(name: str):
-    # poisson_workload moved to repro.cluster.workload (the shared
-    # workload API); re-exported lazily to avoid an import cycle.
-    if name == "poisson_workload":
-        from repro.cluster.workload import poisson_workload
-
-        return poisson_workload
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+if TYPE_CHECKING:
+    from repro.cluster.workload import ServeRequest
 
 
 @dataclass
@@ -130,31 +64,36 @@ class ServingReport:
             "mean_tpot_s": round(self.mean_tpot_s, 4),
         }
 
+    @classmethod
+    def from_requests(cls, discipline: str,
+                      requests: Sequence[ServeRequest]) -> "ServingReport":
+        """Fold served requests into a report; the makespan is the last
+        completion (rejected or unfinished requests are left out)."""
+        done = [r for r in requests if r.finish_s is not None]
+        if not done:
+            raise ExperimentError("no request completed")
+        makespan = max(r.finish_s for r in done)
+        ttfts = np.array([r.ttft_s for r in done])
+        lats = np.array([r.latency_s for r in done])
+        tpots = np.array([r.tpot_s for r in done if r.tpot_s is not None])
+        total_tokens = sum(r.input_tokens + r.output_tokens for r in done)
+        return cls(
+            discipline=discipline,
+            n_requests=len(done),
+            makespan_s=makespan,
+            throughput_tok_s=total_tokens / makespan,
+            mean_ttft_s=float(ttfts.mean()),
+            p95_ttft_s=float(np.percentile(ttfts, 95)),
+            mean_latency_s=float(lats.mean()),
+            p95_latency_s=float(np.percentile(lats, 95)),
+            mean_tpot_s=float(tpots.mean()) if tpots.size else 0.0,
+            requests=done,
+        )
 
-def _report(discipline: str, requests: List[ServeRequest],
-            makespan: float) -> ServingReport:
-    done = [r for r in requests if r.finish_s is not None]
-    if not done:
-        raise ExperimentError("no request completed")
-    ttfts = np.array([r.ttft_s for r in done])
-    lats = np.array([r.latency_s for r in done])
-    tpots = np.array([r.tpot_s for r in done if r.tpot_s is not None])
-    total_tokens = sum(r.input_tokens + r.output_tokens for r in done)
-    return ServingReport(
-        discipline=discipline,
-        n_requests=len(done),
-        makespan_s=makespan,
-        throughput_tok_s=total_tokens / makespan,
-        mean_ttft_s=float(ttfts.mean()),
-        p95_ttft_s=float(np.percentile(ttfts, 95)),
-        mean_latency_s=float(lats.mean()),
-        p95_latency_s=float(np.percentile(lats, 95)),
-        mean_tpot_s=float(tpots.mean()) if tpots.size else 0.0,
-        requests=done,
-    )
 
+class StaticBatchScheduler:
+    """The paper's discipline: fixed batches run to completion."""
 
-class _SchedulerBase:
     def __init__(
         self,
         device: EdgeDevice,
@@ -163,6 +102,8 @@ class _SchedulerBase:
         max_batch: int = 32,
         params: Optional[EngineCostParams] = None,
         kv_budget_bytes: Optional[int] = None,
+        *,
+        max_wait_s: float = 1.0,
     ):
         if max_batch < 1:
             raise ExperimentError("max_batch must be >= 1")
@@ -179,22 +120,15 @@ class _SchedulerBase:
             )
         if kv_budget_bytes <= 0:
             raise ExperimentError("model leaves no KV budget on this device")
+        if max_wait_s < 0:
+            raise ExperimentError("max_wait_s must be >= 0")
+        self.max_wait_s = max_wait_s
         self.kv_budget = kv_budget_bytes
         self._kv_per_token = arch.kv_cache_spec().bytes_per_token_per_layer \
             * arch.n_layers
 
     def kv_bytes(self, tokens: int) -> int:
         return tokens * self._kv_per_token
-
-
-class StaticBatchScheduler(_SchedulerBase):
-    """The paper's discipline: fixed batches run to completion."""
-
-    def __init__(self, *args, max_wait_s: float = 1.0, **kwargs):
-        super().__init__(*args, **kwargs)
-        if max_wait_s < 0:
-            raise ExperimentError("max_wait_s must be >= 0")
-        self.max_wait_s = max_wait_s
 
     def serve(self, requests: List[ServeRequest]) -> ServingReport:
         """Run the arrival stream to completion; returns the report."""
@@ -246,260 +180,4 @@ class StaticBatchScheduler(_SchedulerBase):
         env.process(arrivals(), name="arrivals")
         done = env.process(server(), name="static-server")
         env.run(until=done)
-        return _report("static", requests, env.now)
-
-
-class ContinuousBatchScheduler(_SchedulerBase):
-    """Iteration-level scheduling (Orca/vLLM style).
-
-    With ``paged=True`` admission control runs through the
-    :class:`~repro.memsys.paged.PagedKVCache` block manager instead of
-    whole-sequence byte reservations: sequences only hold blocks for the
-    tokens they have actually produced, so more requests fit the same
-    budget (at bounded per-sequence slack).
-
-    ``kv_policy`` selects what happens to preempted sequences (see
-    :mod:`repro.kvtier.policy`): the default ``sacrifice`` drops the
-    victim's KV and re-prefills later; ``swap`` preserves it on the
-    host side and pays a bandwidth-modelled transfer each way.
-
-    ``prefix_cache=True`` (paged only) shares block-aligned KV between
-    co-resident sequences whose ``prompt_ids`` start identically, via a
-    radix tree over token IDs — the shared-system-prompt scenario.
-    """
-
-    def __init__(self, *args, paged: bool = False, block_tokens: int = 16,
-                 kv_policy=None, prefix_cache: bool = False,
-                 fair_scheduler=None, **kwargs):
-        from repro.kvtier.policy import get_kv_policy
-
-        super().__init__(*args, **kwargs)
-        self.paged = paged
-        self.block_tokens = block_tokens
-        self.kv_policy = get_kv_policy(kv_policy)
-        #: Queue discipline over waiting arrivals (``repro.fairness``);
-        #: the default FCFS is bit-identical to the historical
-        #: pop-the-head admission order.
-        self.fair_scheduler = fair_scheduler
-        if prefix_cache and not paged:
-            raise ExperimentError(
-                "prefix_cache requires the paged block manager")
-        self.prefix_cache = prefix_cache
-        #: Populated by :meth:`serve` when the policy preserves KV.
-        self.swap_stats = None
-        #: Populated by :meth:`serve` when prefix caching is on.
-        self.prefix_stats = None
-
-    def serve(self, requests: List[ServeRequest]) -> ServingReport:
-        from repro.fairness.scheduler import get_fair_scheduler
-        from repro.kvtier.radix import RadixPrefixCache
-        from repro.kvtier.swap import HostSwapSpace, swap_bandwidth_bytes_s
-        from repro.memsys.allocator import CachingAllocator
-        from repro.memsys.paged import PagedKVCache
-
-        fair = get_fair_scheduler(self.fair_scheduler)
-        env = Environment()
-        pending = sorted(requests, key=lambda x: x.arrival_s)
-        arrived: List[ServeRequest] = []
-        active: List[ServeRequest] = []
-        next_idx = 0
-
-        paged_cache: Optional[PagedKVCache] = None
-        if self.paged:
-            # Headroom for segment rounding (the allocator's large-pool
-            # floor is 20 MiB).
-            pool_alloc = CachingAllocator(self.kv_budget + 32 * 2**20)
-            paged_cache = PagedKVCache(
-                self.arch.kv_cache_spec(), pool_alloc, self.kv_budget,
-                block_tokens=self.block_tokens,
-            )
-
-        policy = self.kv_policy
-        host: Optional[HostSwapSpace] = None
-        if policy.preserves_kv:
-            host = HostSwapSpace(int(
-                policy.host_capacity_frac * self.device.memory.capacity_bytes))
-            self.swap_stats = host.stats
-        swap_bw = swap_bandwidth_bytes_s(self.device)
-
-        radix: Optional[RadixPrefixCache] = None
-        prompts: Dict[int, tuple] = {}
-        if self.prefix_cache:
-            radix = RadixPrefixCache(
-                self.block_tokens,
-                paged_cache.bytes_per_block,
-            )
-            self.prefix_stats = radix.stats
-
-        def kv_in_use() -> int:
-            return sum(
-                self.kv_bytes(r.input_tokens + r.generated) for r in active
-            )
-
-        def resident_tokens(r: ServeRequest) -> int:
-            """Tokens whose KV must be resident for ``r`` to decode —
-            prompt plus any preserved (swapped) progress."""
-            return r.input_tokens + r.generated
-
-        def can_admit(r: ServeRequest) -> bool:
-            if paged_cache is not None:
-                # Paged: a prompt that needs exactly the remaining
-                # blocks fits — decode growth preempts later if needed.
-                needed = paged_cache.blocks_needed(resident_tokens(r))
-                limit = int(paged_cache.stats.total_blocks * policy.trigger)
-                return (needed <= paged_cache.free_blocks
-                        and paged_cache.stats.used_blocks + needed <= limit)
-            # Contiguous: reserve the whole final sequence up front.
-            return kv_in_use() + self.kv_bytes(
-                r.input_tokens + r.output_tokens
-            ) <= policy.effective_budget(self.kv_budget)
-
-        def shared_prefix_blocks(r: ServeRequest):
-            """Radix lookup: physical blocks covering ``r``'s prompt
-            head, donated by a co-resident sequence (or none)."""
-            if radix is None or r.prompt_ids is None:
-                return [], 0
-            hit = radix.insert(r.req_id, r.prompt_ids, env.now)
-            prompts[r.req_id] = tuple(r.prompt_ids)
-            if not hit:
-                return [], 0
-            # Any live sequence pinning that path holds the blocks.
-            for other in active:
-                ids = prompts.get(other.req_id)
-                if ids and ids[:hit] == tuple(r.prompt_ids)[:hit]:
-                    n = hit // self.block_tokens
-                    return paged_cache.prefix_blocks(other.req_id, n), hit
-            return [], 0
-
-        def drop_radix(req_id: int) -> None:
-            if radix is not None and radix.holds(req_id):
-                radix.release(req_id)
-                # Engine-level blocks die with their sequences, so the
-                # tree only keeps live-backed (pinned) paths.
-                radix.reclaim(float("inf"), env.now)
-            prompts.pop(req_id, None)
-
-        #: Preempted requests wait here until a sequence finishes —
-        #: re-admitting them immediately would steal the very blocks the
-        #: running sequences need to grow (admission/preemption thrash).
-        parked: List[ServeRequest] = []
-
-        def server():
-            nonlocal next_idx
-            finished = 0
-            while finished < len(pending):
-                # Pull arrivals up to the current time.
-                while next_idx < len(pending) and pending[next_idx].arrival_s <= env.now:
-                    arrived.append(pending[next_idx])
-                    fair.on_arrival(pending[next_idx], env.now)
-                    next_idx += 1
-                # Admit while capacity allows; newly admitted pay
-                # prefill (minus any shared prefix), swapped returnees
-                # pay their swap-in transfer instead.  The fair
-                # scheduler picks who goes next (FCFS: the head).
-                admitted = []
-                while arrived and len(active) < self.max_batch:
-                    pick = fair.select_next(arrived)
-                    if not can_admit(arrived[pick]):
-                        break
-                    r = arrived.pop(pick)
-                    fair.on_dequeue(r)
-                    active.append(r)
-                    admitted.append(r)
-                    if paged_cache is not None:
-                        shared, hit = ([], 0)
-                        if not (host is not None and host.holds(r.req_id)):
-                            shared, hit = shared_prefix_blocks(r)
-                        r.prefix_cached_tokens = hit
-                        paged_cache.add_sequence(
-                            r.req_id, resident_tokens(r),
-                            shared_blocks=shared)
-                for r in admitted:
-                    if host is not None and host.holds(r.req_id):
-                        _, seconds = host.swap_in(r.req_id, swap_bw)
-                        yield env.timeout(seconds)
-                    else:
-                        charged = max(1, r.input_tokens
-                                      - r.prefix_cached_tokens)
-                        yield env.timeout(self.timer.prefill(
-                            1, charged).seconds)
-                        fair.on_tokens_served(r, prefill_tokens=charged)
-
-                if not active:
-                    # Idle: jump to the next arrival.
-                    if next_idx < len(pending):
-                        yield env.timeout(
-                            max(0.0, pending[next_idx].arrival_s - env.now)
-                        )
-                        continue
-                    break
-
-                bs = len(active)
-                context = max(r.input_tokens + r.generated for r in active)
-                concat = 2 * self.kv_bytes(bs * context)
-                cost = self.timer.decode_step(bs, context, concat_bytes=concat)
-                yield env.timeout(cost.seconds)
-
-                pending_transfer_s = [0.0]
-
-                def preempt_one(keep: ServeRequest) -> bool:
-                    """Policy-driven preemption: the policy picks the
-                    victim; ``swap`` preserves its KV on the host (a
-                    bandwidth-billed transfer), ``sacrifice`` drops it
-                    for a later full re-prefill.  The victim parks until
-                    a sequence finishes."""
-                    victim = policy.select_victim(active, keep=keep)
-                    if victim is None:
-                        return False
-                    paged_cache.release_sequence(victim.req_id)
-                    drop_radix(victim.req_id)
-                    active.remove(victim)
-                    nbytes = self.kv_bytes(resident_tokens(victim))
-                    if host is not None and host.can_hold(nbytes):
-                        pending_transfer_s[0] += host.swap_out(
-                            victim.req_id, nbytes, swap_bw)
-                    else:
-                        if host is not None:
-                            host.stats.sacrifices += 1
-                        victim.reset_for_replay()
-                    parked.append(victim)
-                    return True
-
-                for r in list(active):
-                    if r not in active:
-                        continue  # preempted within this iteration
-                    r.generated += 1
-                    r.last_token_s = env.now
-                    fair.on_tokens_served(r, decode_tokens=1)
-                    if paged_cache is not None:
-                        while True:
-                            try:
-                                paged_cache.append_token(r.req_id)
-                                break
-                            except OutOfMemoryError:
-                                if not preempt_one(r):
-                                    raise
-                    if r.generated == 1 and r.first_token_s is None:
-                        r.first_token_s = env.now
-                    if r.generated >= r.output_tokens:
-                        r.finish_s = env.now
-                        active.remove(r)
-                        finished += 1
-                        if paged_cache is not None:
-                            paged_cache.release_sequence(r.req_id)
-                            drop_radix(r.req_id)
-                        if parked:
-                            # Freed capacity: let preempted work retry,
-                            # ahead of fresh arrivals.
-                            arrived[0:0] = parked
-                            for p in parked:
-                                fair.on_arrival(p, env.now)
-                            parked.clear()
-                if pending_transfer_s[0]:
-                    # The bus time spent writing victims' KV host-side.
-                    yield env.timeout(pending_transfer_s[0])
-
-        done = env.process(server(), name="continuous-server")
-        env.run(until=done)
-        return _report("continuous-paged" if self.paged else "continuous",
-                       requests, env.now)
+        return ServingReport.from_requests("static", requests)

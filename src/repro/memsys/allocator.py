@@ -93,13 +93,12 @@ class _Segment:
         remainder = block.size - size
         block.size = size
         block.free = False
-        if remainder >= ROUND_SMALL:
+        # Sizes and segments are multiples of 512 B, so any remainder
+        # is a trackable free block.
+        if remainder:
             self.blocks.insert(
                 idx + 1, _Block(offset=block.offset + size, size=remainder, free=True)
             )
-        else:
-            # Too small to track separately: keep it attached to the block.
-            block.size += remainder
         self._recompute_max_free()
         return block
 

@@ -67,10 +67,8 @@ def state_fingerprint(allocator: CachingAllocator) -> tuple:
     """Hashable exact snapshot of everything that determines how the
     allocator responds to a future operation stream.
 
-    Includes ``stats.allocated`` (not derivable from the layout alone —
-    sub-512 B remainders absorbed into used blocks make block sizes
-    exceed their rounded accounting) because the GC free-fraction test
-    reads it.
+    Includes ``stats.allocated`` because the GC free-fraction test reads
+    it.
     """
     layout = tuple(
         tuple(
@@ -249,21 +247,17 @@ class AllocatorMirror:
         if not seg.used_blocks:
             self.dead_bytes -= seg.size
         remainder = size - rounded
-        if remainder >= ROUND_SMALL:
-            used_size = rounded
+        if remainder:
             roff = offset + rounded
             seg.free_starts[roff] = remainder
             seg.free_ends[offset + size] = roff
             insort(idx, (remainder, seg.seq, roff, seg))
-        else:
-            # Too small to track separately: absorbed into the used span.
-            used_size = size
-        seg.used_blocks[offset] = used_size
+        seg.used_blocks[offset] = rounded
         self.allocated += rounded
         self.n_allocs += 1
         if self.allocated > self.peak_allocated:
             self.peak_allocated = self.allocated
-        return (seg, offset, used_size, rounded)
+        return (seg, offset, rounded, rounded)
 
     def free(self, handle: tuple) -> None:
         seg, offset, used_size, rounded = handle
@@ -309,8 +303,6 @@ class AllocatorMirror:
         pool = "small" if rounded < SMALL_LARGE_THRESHOLD else "large"
         idx = self.index[pool]
         key = (rounded, -1, -1)
-        # A block at least this big leaves a remainder worth splitting.
-        split = rounded + ROUND_SMALL
         gc_threshold = self.gc_threshold
         dead_cap = self.dead_cap_bytes
         allocated = self.allocated
@@ -336,21 +328,17 @@ class AllocatorMirror:
                 size, offset = seg.size, 0
             if not seg.used_blocks:
                 dead -= seg.size
-            if size >= split:
-                used = rounded
+            if size != rounded:
                 roff = offset + rounded
                 seg.free_starts[roff] = size - rounded
                 seg.free_ends[offset + size] = roff
                 insort(idx, (size - rounded, seg.seq, roff, seg))
-            else:
-                # Too small to track separately: absorbed into the used span.
-                used = size
-            seg.used_blocks[offset] = used
+            seg.used_blocks[offset] = rounded
             allocated += rounded
             n_allocs += 1
             if allocated > peak:
                 peak = allocated
-            kv[i] = (seg, offset, used, rounded)
+            kv[i] = (seg, offset, rounded, rounded)
 
             # -- free the old handle, coalescing right then left ------------
             del old.used_blocks[old_offset]
@@ -562,7 +550,6 @@ def _grow_by_segment(mirror: AllocatorMirror, kv: List[tuple],
             if rounded < size:
                 break
             key = (rounded, -1, -1)
-            split = rounded + ROUND_SMALL
             for i, (old, _, _, old_rounded) in enumerate(kv):
                 k = bisect_left(idx, key)
                 if k < len(idx):
@@ -575,10 +562,8 @@ def _grow_by_segment(mirror: AllocatorMirror, kv: List[tuple],
                     reserved = mirror.reserved
                     dead = mirror.dead_bytes
                 dead -= seg_size
-                # Remainders under 512 B stay attached to the used block.
-                used = rounded if seg_size >= split else seg_size
-                seg.used_blocks[0] = used
-                kv[i] = (seg, 0, used, rounded)
+                seg.used_blocks[0] = rounded
+                kv[i] = (seg, 0, rounded, rounded)
                 allocated += rounded
                 n_allocs += 1
                 if allocated > peak:

@@ -6,6 +6,7 @@ import pytest
 from repro.cluster.workload import (
     DEFAULT_TENANTS,
     ClusterRequest,
+    ServeRequest,
     TenantProfile,
     as_cluster_requests,
     bursty_workload,
@@ -13,18 +14,10 @@ from repro.cluster.workload import (
     multi_tenant_workload,
     poisson_workload,
 )
-from repro.engine.scheduler import ServeRequest
 from repro.errors import ExperimentError, WorkloadError
 
 
 class TestPoissonCompat:
-    def test_reexported_from_engine_scheduler(self):
-        from repro.engine import scheduler
-
-        assert scheduler.poisson_workload is poisson_workload
-        with pytest.raises(AttributeError):
-            scheduler.no_such_symbol
-
     def test_original_behaviour_preserved(self):
         reqs = poisson_workload(2.0, 10, seed=4)
         assert len(reqs) == 10
@@ -126,6 +119,9 @@ class TestUpgrade:
         up = as_cluster_requests(plain)
         assert all(isinstance(r, ClusterRequest) for r in up)
         assert [r.arrival_s for r in up] == [r.arrival_s for r in plain]
+        # Token ids ride along, so the radix tree sees plain prompts.
+        ids = ServeRequest(7, 0.5, 3, 4, prompt_ids=(1, 2, 3))
+        assert as_cluster_requests([ids])[0].prompt_ids == (1, 2, 3)
         # Already-upgraded requests pass through untouched.
         again = as_cluster_requests(up)
         assert again[0] is up[0]

@@ -1,42 +1,50 @@
-"""Paged admission in the continuous scheduler."""
+"""Paged admission and preemption in a 1-node fleet's serving loop.
 
-import copy
+The node's ``paged`` runtime admits by free KV blocks and, when live KV
+outgrows the pool mid-decode, evicts the youngest request for a full
+re-prefill (``sacrifice``).  A victim re-enters the queue head at once
+and is retried at the next step boundary.  The block manager itself
+(:class:`~repro.memsys.paged.PagedKVCache`) is driven directly by the
+memory-saving and cache-boundary tests.
+"""
 
 import pytest
 
-from repro.engine.scheduler import (
-    ContinuousBatchScheduler,
-    ServeRequest,
-    poisson_workload,
-)
-from repro.hardware import get_device
+from repro.cluster import EdgeCluster, FleetSpec, NodeSpec
+from repro.cluster.workload import ServeRequest, poisson_workload
+from repro.engine.scheduler import ServingReport
+from repro.errors import OutOfMemoryError
+from repro.memsys.allocator import CachingAllocator
+from repro.memsys.paged import PagedKVCache
 from repro.models import get_model
-from repro.quant.dtypes import Precision
 
 
-def sched(paged: bool, budget: int = None, max_batch: int = 8):
-    return ContinuousBatchScheduler(
-        get_device("jetson-orin-agx-64gb"), get_model("llama"),
-        Precision.FP16, max_batch=max_batch, paged=paged,
-        kv_budget_bytes=budget,
-    )
+def fleet(budget: int = None, max_batch: int = 8) -> EdgeCluster:
+    cluster = EdgeCluster.of(FleetSpec.of(
+        [NodeSpec("jetson-orin-agx-64gb", max_batch=max_batch,
+                  runtime="paged")],
+        model="llama", precision="fp16"))
+    if budget is not None:
+        cluster.nodes[0]._kv_budget_base = budget
+    return cluster
+
+
+def serve(reqs, budget: int = None, max_batch: int = 8) -> ServingReport:
+    cluster = fleet(budget, max_batch)
+    cluster.run(reqs)
+    return ServingReport.from_requests("continuous", cluster.last_requests)
 
 
 def test_paged_serves_all_requests():
     reqs = poisson_workload(3.0, 16, input_tokens=16, output_tokens=16, seed=2)
-    report = sched(paged=True).serve(reqs)
+    report = serve(reqs)
     assert report.n_requests == 16
-    assert report.discipline == "continuous-paged"
 
 
 def test_paged_needs_less_memory_for_same_concurrency():
     """Contiguous admission reserves each sequence's *final* length up
     front; the block manager only holds blocks for generated tokens, so
     its peak pool usage sits well below the contiguous reservation."""
-    from repro.memsys.allocator import CachingAllocator
-    from repro.memsys.paged import PagedKVCache
-    from repro.models import get_model
-
     arch = get_model("llama")
     spec = arch.kv_cache_spec()
     n_seqs, inp, out = 16, 16, 48
@@ -64,8 +72,9 @@ def test_preemption_path_still_completes_everything():
     # A pool so small that growth must preempt: everything still finishes.
     budget = int(15e6)
     reqs = poisson_workload(20.0, 12, input_tokens=16, output_tokens=64, seed=6)
-    report = sched(paged=True, budget=budget, max_batch=12).serve(reqs)
+    report = serve(reqs, budget=budget, max_batch=12)
     assert report.n_requests == 12
+    assert any(r.replays for r in report.requests)
     for r in report.requests:
         assert r.finish_s is not None
         assert r.ttft_s >= 0
@@ -80,9 +89,6 @@ class TestAdmissionBoundary:
     """Block-granular admission: exact fit admits, one block over rejects."""
 
     def _cache(self, n_blocks: int, block_tokens: int = 16):
-        from repro.memsys.allocator import CachingAllocator
-        from repro.memsys.paged import PagedKVCache
-
         spec = get_model("llama").kv_cache_spec()
         pool = n_blocks * _bytes_per_block(block_tokens)
         return PagedKVCache(spec, CachingAllocator(pool + 32 * 2**20), pool,
@@ -98,8 +104,6 @@ class TestAdmissionBoundary:
         cache = self._cache(n_blocks=4)
         # 65 tokens round up to a fifth block: one block over the pool.
         assert not cache.can_admit(4 * 16 + 1)
-        from repro.errors import OutOfMemoryError
-
         with pytest.raises(OutOfMemoryError):
             cache.add_sequence(0, 4 * 16 + 1)
         # The failed admission must not leak blocks.
@@ -111,7 +115,7 @@ class TestAdmissionBoundary:
         budget = 4 * _bytes_per_block()
         reqs = [ServeRequest(req_id=0, arrival_s=0.0, input_tokens=16,
                              output_tokens=48)]
-        report = sched(paged=True, budget=budget, max_batch=1).serve(reqs)
+        report = serve(reqs, budget=budget, max_batch=1)
         assert report.requests[0].finish_s is not None
         assert report.requests[0].generated == 48
 
@@ -124,7 +128,8 @@ class TestPreemption:
         # late.  A 7-block pool admits all three prompts, but when r0
         # and r1 cross the 33-token block boundary in the same decode
         # iteration the pool is dry and r2 — the youngest — is evicted.
-        # After r0/r1 finish, r2 re-runs from scratch (3 blocks <= 7).
+        # It re-prefills and is evicted again until r0/r1 finish, then
+        # re-runs from scratch (3 blocks <= 7).
         return [
             ServeRequest(req_id=0, arrival_s=0.0, input_tokens=16,
                          output_tokens=32),
@@ -135,8 +140,8 @@ class TestPreemption:
         ]
 
     def test_youngest_is_preempted_and_still_completes(self):
-        tight = sched(paged=True, budget=7 * _bytes_per_block(),
-                      max_batch=3).serve(self._three_requests())
+        tight = serve(self._three_requests(), budget=7 * _bytes_per_block(),
+                      max_batch=3)
         r0, r1, r2 = tight.requests
         assert all(r.generated == 32 for r in tight.requests)
         # r2 has the same service demand and arrived only 0.1 s late;
@@ -144,26 +149,27 @@ class TestPreemption:
         # was evicted and recomputed from scratch.
         assert r2.finish_s > r0.finish_s + 1.0
         assert r2.finish_s > r1.finish_s + 1.0
+        assert r2.replays > 0
 
     def test_preemption_recompute_costs_time(self):
-        tight = sched(paged=True, budget=7 * _bytes_per_block(),
-                      max_batch=3).serve(self._three_requests())
-        ample = sched(paged=True, budget=64 * _bytes_per_block(),
-                      max_batch=3).serve(self._three_requests())
+        tight = serve(self._three_requests(), budget=7 * _bytes_per_block(),
+                      max_batch=3)
+        ample = serve(self._three_requests(), budget=64 * _bytes_per_block(),
+                      max_batch=3)
         assert all(r.finish_s is not None for r in ample.requests)
         # Recompute-style preemption re-pays r2's prefill and decode.
         assert tight.makespan_s > ample.makespan_s
 
     def test_unpreemptable_oom_raises(self):
-        from repro.errors import OutOfMemoryError
-
         # A single sequence outgrowing the whole pool has no victim to
-        # evict: the scheduler must surface the OOM, not loop.
+        # evict and can never finish here: the node rejects it as
+        # hopeless and the run ends instead of looping.
         reqs = [ServeRequest(req_id=0, arrival_s=0.0, input_tokens=16,
                              output_tokens=256)]
-        with pytest.raises(OutOfMemoryError):
-            sched(paged=True, budget=2 * _bytes_per_block(),
-                  max_batch=1).serve(reqs)
+        cluster = fleet(budget=2 * _bytes_per_block(), max_batch=1)
+        report = cluster.run(reqs)
+        assert report.rejected == 1
+        assert cluster.last_requests[0].finish_s is None
 
 
 class TestBlockRoundedAdmissionBoundary:
@@ -176,36 +182,31 @@ class TestBlockRoundedAdmissionBoundary:
     not by reserving the extra block up front.
     """
 
-    def _sched_with_blocks(self, n_blocks, max_batch=8):
-        from repro.models import get_model
-
-        arch = get_model("llama")
-        probe = arch.kv_cache_spec()
-        bpb = probe.bytes_per_token_per_layer * probe.n_layers * 16
-        return sched(paged=True, budget=n_blocks * bpb, max_batch=max_batch)
+    def _budget(self, n_blocks):
+        return n_blocks * _bytes_per_block()
 
     def test_exactly_full_pool_admits(self):
-        s = self._sched_with_blocks(8)
         # A holds 3 blocks for its whole life (48-token cap, 16 rounds).
         a = ServeRequest(req_id=0, arrival_s=0.0, input_tokens=40,
                          output_tokens=8)
         # B's 80-token prompt needs exactly the 5 remaining blocks.
         b = ServeRequest(req_id=1, arrival_s=0.05, input_tokens=80,
                          output_tokens=16)
-        report = s.serve([a, b])
+        report = serve([a, b], budget=self._budget(8))
         assert report.n_requests == 2
+        a, b = report.requests
         assert a.finish_s is not None and b.finish_s is not None
         # The boundary admission ran B concurrently with A: its first
         # token streams long before A drains (pre-fix, B waited for A).
         assert b.first_token_s < a.finish_s
 
     def test_over_full_prompt_still_waits(self):
-        s = self._sched_with_blocks(8)
         a = ServeRequest(req_id=0, arrival_s=0.0, input_tokens=40,
                          output_tokens=8)
         # 81 tokens -> 6 blocks > the 5 free: must wait for A to finish.
         b = ServeRequest(req_id=1, arrival_s=0.05, input_tokens=81,
                          output_tokens=8)
-        report = s.serve([a, b])
+        report = serve([a, b], budget=self._budget(8))
         assert report.n_requests == 2
+        a, b = report.requests
         assert b.first_token_s > a.finish_s

@@ -1,25 +1,34 @@
-"""Request-level serving: static vs continuous batching."""
+"""Request-level serving: static batching vs a 1-node fleet's
+continuous batching."""
 
 import copy
 
 import pytest
 
-from repro.engine.scheduler import (
-    ContinuousBatchScheduler,
-    ServeRequest,
-    StaticBatchScheduler,
-    poisson_workload,
-)
+from repro.cluster import EdgeCluster, FleetSpec, NodeSpec
+from repro.cluster.workload import ServeRequest, poisson_workload
+from repro.engine.scheduler import ServingReport, StaticBatchScheduler
 from repro.errors import ExperimentError
 from repro.hardware import get_device
 from repro.models import get_model
 from repro.quant.dtypes import Precision
 
 
-def make_sched(kind, model="llama", max_batch=8, **kw):
-    cls = StaticBatchScheduler if kind == "static" else ContinuousBatchScheduler
-    return cls(get_device("jetson-orin-agx-64gb"), get_model(model),
-               Precision.FP16, max_batch=max_batch, **kw)
+def make_sched(model="llama", max_batch=8, **kw):
+    return StaticBatchScheduler(get_device("jetson-orin-agx-64gb"),
+                                get_model(model), Precision.FP16,
+                                max_batch=max_batch, **kw)
+
+
+def serve_continuous(reqs, max_batch=8, kv_budget_bytes=None):
+    """Continuous batching: one Orin node's serving loop."""
+    cluster = EdgeCluster.of(FleetSpec.of(
+        [NodeSpec("jetson-orin-agx-64gb", max_batch=max_batch)],
+        model="llama", precision="fp16"))
+    if kv_budget_bytes is not None:
+        cluster.nodes[0]._kv_budget_base = kv_budget_bytes
+    cluster.run(reqs)
+    return ServingReport.from_requests("continuous", cluster.last_requests)
 
 
 def workload(rate=2.0, n=24, seed=3, out=16):
@@ -47,7 +56,7 @@ class TestWorkloadGen:
 
 class TestStatic:
     def test_all_requests_complete_with_metrics(self):
-        report = make_sched("static").serve(workload())
+        report = make_sched().serve(workload())
         assert report.n_requests == 24
         for r in report.requests:
             assert r.finish_s is not None
@@ -56,7 +65,7 @@ class TestStatic:
             assert r.latency_s >= r.ttft_s
 
     def test_batches_bounded_by_max_batch(self):
-        report = make_sched("static", max_batch=4).serve(workload())
+        report = make_sched(max_batch=4).serve(workload())
         assert report.n_requests == 24
 
     def test_later_arrivals_wait_for_running_batch(self):
@@ -73,7 +82,7 @@ class TestStatic:
 
 class TestContinuous:
     def test_all_requests_complete(self):
-        report = make_sched("continuous").serve(workload())
+        report = serve_continuous(workload())
         assert report.n_requests == 24
         assert report.mean_tpot_s > 0
 
@@ -81,18 +90,17 @@ class TestContinuous:
         """The iteration-level scheduler admits new requests mid-batch,
         so tail TTFT collapses versus run-to-completion batching."""
         reqs = workload(rate=4.0, n=32, out=32)
-        static = make_sched("static").serve(copy.deepcopy(reqs))
-        cont = make_sched("continuous").serve(copy.deepcopy(reqs))
+        static = make_sched().serve(copy.deepcopy(reqs))
+        cont = serve_continuous(copy.deepcopy(reqs))
         assert cont.p95_ttft_s < static.p95_ttft_s
 
     def test_respects_kv_budget(self):
         # A tiny budget forces admission control but must still finish.
-        sched = make_sched("continuous", max_batch=8,
-                           kv_budget_bytes=int(50e6))
-        report = sched.serve(workload(n=12))
+        report = serve_continuous(workload(n=12), max_batch=8,
+                                  kv_budget_bytes=int(50e6))
         assert report.n_requests == 12
 
     def test_impossible_budget_rejected(self):
         with pytest.raises(ExperimentError):
-            make_sched("continuous", model="mistral",
+            make_sched(model="mistral",
                        kv_budget_bytes=-1)  # explicit nonsense budget

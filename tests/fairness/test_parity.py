@@ -11,13 +11,8 @@ admission body.
 import types
 
 from repro.cluster import EdgeCluster, FleetSpec, NodeSpec
-from repro.cluster.workload import multi_tenant_workload
-from repro.engine.scheduler import ContinuousBatchScheduler
-from repro.engine.scheduler import poisson_workload as engine_poisson
-from repro.hardware import get_device
-from repro.models import get_model
+from repro.cluster.workload import multi_tenant_workload, poisson_workload
 from repro.obs import Observer, chrome_trace_json
-from repro.quant.dtypes import Precision
 
 
 def _legacy_admit(self):
@@ -39,11 +34,13 @@ def _legacy_admit(self):
     return admitted
 
 
-def _build(legacy: bool, observer=None):
-    cluster = EdgeCluster.of(FleetSpec.of(
-        [NodeSpec("jetson-orin-agx-64gb", max_batch=2),
-         NodeSpec("jetson-xavier-agx-32gb", max_batch=2)],
-        policy="jsq"), observer=observer)
+FLEET = (NodeSpec("jetson-orin-agx-64gb", max_batch=2),
+         NodeSpec("jetson-xavier-agx-32gb", max_batch=2))
+
+
+def _build(legacy: bool, observer=None, nodes=FLEET):
+    cluster = EdgeCluster.of(FleetSpec.of(list(nodes), policy="jsq"),
+                             observer=observer)
     if legacy:
         for n in cluster.nodes:
             n._admit = types.MethodType(_legacy_admit, n)
@@ -77,23 +74,20 @@ class TestClusterParity:
         _build(legacy=True, observer=obs_old).run(_workload())
         assert chrome_trace_json(obs_new) == chrome_trace_json(obs_old)
 
+    def test_single_node_is_bit_identical_to_legacy_admission(self):
+        """The 1-node fleet that serves the continuous-batching row."""
+        node = (NodeSpec("jetson-orin-agx-64gb", max_batch=4),)
+        new = _build(legacy=False, nodes=node)
+        old = _build(legacy=True, nodes=node)
+        rep_new = new.run(poisson_workload(4.0, 24, seed=3))
+        rep_old = old.run(poisson_workload(4.0, 24, seed=3))
+        for a, b in zip(new.last_requests, old.last_requests, strict=True):
+            assert a.first_token_s == b.first_token_s  # exact, no approx
+            assert a.finish_s == b.finish_s
+        assert rep_new.as_row() == rep_old.as_row()
+
     def test_scheduler_column_reports_the_discipline(self):
         cluster = _build(legacy=False)
         rep = cluster.run(_workload())
         assert rep.scheduler == "fcfs"
         assert rep.as_row()["scheduler"] == "fcfs"
-
-
-class TestEngineParity:
-    def test_default_admission_unchanged_by_fair_scheduler_arg(self):
-        arch = get_model("llama")
-        device = get_device("jetson-orin-agx-64gb")
-
-        def run(**kwargs):
-            sched = ContinuousBatchScheduler(device, arch, Precision.FP16,
-                                             max_batch=4, **kwargs)
-            return sched.serve(engine_poisson(4.0, 24, seed=3))
-
-        base = run()
-        fcfs = run(fair_scheduler="fcfs")
-        assert base.as_row() == fcfs.as_row()

@@ -13,12 +13,8 @@ The acceptance properties of the kvtier subsystem:
 import pytest
 
 from repro.cluster import EdgeCluster, FleetSpec, NodeSpec
-from repro.cluster.workload import poisson_workload, shared_prefix_workload
-from repro.engine.scheduler import ContinuousBatchScheduler, ServeRequest
-from repro.hardware import get_device
-from repro.models import get_model
+from repro.cluster.workload import ServeRequest, shared_prefix_workload
 from repro.obs import Observer, kinds
-from repro.quant.dtypes import Precision
 
 DEVICE = "jetson-orin-agx-64gb"
 MODEL = "llama3.1-8b"
@@ -134,36 +130,30 @@ class TestPrefixSharing:
         assert hot.p50_ttft_s < cold.p50_ttft_s
         assert cold.prefix_hit_tokens == 0
 
-    def test_engine_prefix_cache_requires_paged(self):
-        from repro.errors import ExperimentError
-
-        with pytest.raises(ExperimentError):
-            ContinuousBatchScheduler(
-                get_device(DEVICE), get_model("llama"), Precision.FP16,
-                paged=False, prefix_cache=True)
-
     def test_engine_level_sharing(self):
-        """The single-node scheduler shares blocks through the same
-        radix tree when prompts carry token ids."""
+        """A single paged node shares blocks through the radix tree when
+        plain requests carry token ids (they must survive the upgrade
+        to cluster requests)."""
         prefix = tuple(range(64))
 
-        def reqs():
+        def reqs(with_ids):
             return [ServeRequest(req_id=i, arrival_s=0.2 * i,
                                  input_tokens=80, output_tokens=32,
                                  prompt_ids=prefix + tuple(
-                                     1000 + 16 * i + j for j in range(16)))
+                                     1000 + 16 * i + j for j in range(16))
+                                 if with_ids else None)
                     for i in range(8)]
 
-        def run(prefix_cache):
-            s = ContinuousBatchScheduler(
-                get_device(DEVICE), get_model("llama"), Precision.FP16,
-                max_batch=8, paged=True, prefix_cache=prefix_cache)
-            report = s.serve(reqs())
-            ttfts = [r.ttft_s for r in report.requests]
-            return s, sum(ttfts) / len(ttfts)
+        def run(with_ids):
+            cluster = EdgeCluster.of(FleetSpec.of(
+                [NodeSpec(DEVICE, max_batch=8, runtime="paged")],
+                model="llama", precision="fp16"))
+            report = cluster.run(reqs(with_ids))
+            ttfts = [r.ttft_s for r in cluster.last_requests]
+            return report, sum(ttfts) / len(ttfts)
 
-        s_off, ttft_off = run(False)
-        s_on, ttft_on = run(True)
-        assert s_on.prefix_stats.hit_tokens > 0
+        off, ttft_off = run(False)
+        on, ttft_on = run(True)
+        assert on.prefix_hit_tokens > 0
         assert ttft_on < ttft_off
-        assert s_off.prefix_stats is None
+        assert off.prefix_hit_tokens == 0

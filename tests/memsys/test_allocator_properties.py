@@ -74,3 +74,25 @@ def test_segments_never_overlap(sizes):
             assert block.offset == offset
             offset += block.size
         assert offset == seg.size
+
+
+@given(script=alloc_scripts())
+@settings(max_examples=50, deadline=None)
+def test_blocks_stay_on_the_512_byte_grid(script):
+    """Requests round to 512 B and segments are multiples of 2 MiB, so
+    every split leaves a remainder of 0 or at least 512 B: block offsets
+    and sizes stay multiples of 512, and a used block is exactly its
+    handle's rounded size."""
+    a = CachingAllocator(gib(8))
+    live = []
+    for op, arg in script:
+        if op == "alloc":
+            live.append(a.alloc(arg))
+        elif live:
+            a.free(live.pop(arg % len(live)))
+        for seg in a._segments:
+            for block in seg.blocks:
+                assert block.offset % 512 == 0
+                assert block.size % 512 == 0
+        for h in live:
+            assert h.block.size == h.rounded

@@ -283,7 +283,7 @@ class _RegimeLog:
     offsets: bool = False
     small_holes: bool = False
     large_holes: bool = False
-    absorbed: bool = False
+    exact_fit: bool = False
     entries: List[int] = field(default_factory=list)
 
 
@@ -305,7 +305,7 @@ def _watch_regime():
             log.offsets |= offsets
             log.small_holes |= small
             log.large_holes |= large
-            log.absorbed |= any(h[2] == h[0].size for h in kv)
+            log.exact_fit |= any(h[2] == h[0].size for h in kv)
             log.entries.append(j)
         return j2, oom
 
@@ -487,7 +487,7 @@ def test_segment_replay_matches_mirror_and_allocator():
         "small-pool holes": any(lg.small_holes for _, lg in entered),
         "large-pool holes": any(lg.large_holes for _, lg in entered),
         "non-zero offsets": any(lg.offsets for _, lg in entered),
-        "absorbed remainders": any(lg.absorbed for _, lg in entered),
+        "exact fits": any(lg.exact_fit for _, lg in entered),
         "re-entry": any(len(lg.entries) > 1 for _, lg in entered),
     }
     assert all(seen.values()), seen
@@ -561,7 +561,7 @@ class _TokenLog:
     gc_frac_mid_token: bool = False
     dead_cap_mid_token: bool = False
     cross_pool_first: bool = False
-    absorbed: bool = False
+    exact_fit: bool = False
     stirred: bool = False
 
 
@@ -621,9 +621,8 @@ def _check_tokens(run: _Tokens) -> _TokenLog:
                 break
             log.cross_pool_first |= j == 0 and old[0].pool != kv_o[i][0].pool
             seg, offset, used, _ = kv_o[i]
-            # No free block split off: the remainder (under 512 B, so 0,
-            # as every size is a multiple of 512 B) stays in the block.
-            log.absorbed |= offset + used not in seg.free_starts
+            # An exact fit: no free block split off.
+            log.exact_fit |= offset + used not in seg.free_starts
             oracle.free(old)
             if oracle.n_reclaims > n_reclaims and i < run.n_tensors - 1:
                 c = run.case

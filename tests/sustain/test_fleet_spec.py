@@ -1,12 +1,9 @@
-"""FleetSpec: validation, and exact parity of the legacy build shim."""
-
-import warnings
+"""FleetSpec: validation, region stamping and cache-key stability."""
 
 import pytest
 
-from repro.cluster import EdgeCluster, FleetSpec, NodeSpec, poisson_workload
+from repro.cluster import FleetSpec, NodeSpec
 from repro.errors import ConfigError
-from repro.obs import Observer, chrome_trace_json
 from repro.sustain import CarbonTrace
 
 
@@ -65,50 +62,3 @@ class TestValidation:
         a = payload_fingerprint(dataclasses.asdict(fleet))
         b = payload_fingerprint(dataclasses.asdict(fleet))
         assert a == b
-
-
-FLEET = [
-    NodeSpec("jetson-orin-agx-64gb", max_batch=4),
-    NodeSpec("jetson-xavier-agx-32gb", max_batch=4),
-]
-
-
-def _workload():
-    return poisson_workload(2.0, 20, input_tokens=16, output_tokens=16,
-                            seed=5)
-
-
-class TestBuildShimParity:
-    def test_build_warns_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="FleetSpec"):
-            EdgeCluster.build(list(FLEET), model="llama", policy="jsq")
-
-    def test_build_and_of_are_byte_identical(self):
-        """The shim must construct the *same* cluster: every per-request
-        timestamp, the report row, and the telemetry stream all match
-        exactly (no approx; determinism is the whole contract)."""
-        obs_new = Observer()
-        fleet = FleetSpec.of(list(FLEET), model="llama", precision="fp16",
-                             policy="jsq")
-        new = EdgeCluster.of(fleet, observer=obs_new).run(_workload())
-
-        obs_old = Observer()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy_cluster = EdgeCluster.build(
-                list(FLEET), model="llama", precision="fp16", policy="jsq",
-                observer=obs_old)
-        legacy = legacy_cluster.run(_workload())
-
-        assert new.as_row() == legacy.as_row()
-        assert [r.first_token_s for r in new.requests] == \
-               [r.first_token_s for r in legacy.requests]
-        assert [r.finish_s for r in new.requests] == \
-               [r.finish_s for r in legacy.requests]
-        assert chrome_trace_json(obs_new) == chrome_trace_json(obs_old)
-
-    def test_build_rejects_empty_specs(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ConfigError):
-                EdgeCluster.build([], model="llama")
