@@ -21,11 +21,11 @@ token, end-to-end latency, plus aggregate percentiles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
 import numpy as np
 
-from repro.engine.kernels import EngineCostParams, StepTimer
+from repro.engine.kernels import StepTimer
 from repro.errors import ExperimentError
 from repro.hardware.device import EdgeDevice
 from repro.models.architecture import TransformerArchitecture
@@ -100,30 +100,22 @@ class StaticBatchScheduler:
         arch: TransformerArchitecture,
         precision: Precision,
         max_batch: int = 32,
-        params: Optional[EngineCostParams] = None,
-        kv_budget_bytes: Optional[int] = None,
         *,
         max_wait_s: float = 1.0,
     ):
         if max_batch < 1:
             raise ExperimentError("max_batch must be >= 1")
+        # Weights plus a 1 GB workspace must leave room for some KV.
+        if weight_bytes(arch, precision) + 1e9 >= device.memory.usable_bytes:
+            raise ExperimentError("model leaves no KV budget on this device")
+        if max_wait_s < 0:
+            raise ExperimentError("max_wait_s must be >= 0")
         self.device = device
         self.arch = arch
         self.precision = precision
         self.max_batch = max_batch
-        self.timer = StepTimer(arch, device, precision, params)
-        if kv_budget_bytes is None:
-            kv_budget_bytes = int(
-                device.memory.usable_bytes
-                - weight_bytes(arch, precision)
-                - 1e9  # workspace
-            )
-        if kv_budget_bytes <= 0:
-            raise ExperimentError("model leaves no KV budget on this device")
-        if max_wait_s < 0:
-            raise ExperimentError("max_wait_s must be >= 0")
+        self.timer = StepTimer(arch, device, precision)
         self.max_wait_s = max_wait_s
-        self.kv_budget = kv_budget_bytes
         self._kv_per_token = arch.kv_cache_spec().bytes_per_token_per_layer \
             * arch.n_layers
 
