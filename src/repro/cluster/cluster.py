@@ -373,7 +373,13 @@ class EdgeCluster:
                                  track=n.obs_track, time_s=b.time_s)
 
     def run(self, requests: Sequence[ServeRequest]) -> ClusterReport:
-        """Serve the trace to completion; returns the cluster report."""
+        """Serve the trace to completion; returns the cluster report.
+
+        ``ClusterRequest``s are served in place.  Plain ``ServeRequest``s
+        are served as fresh copies (:func:`as_cluster_requests`): their
+        results are on ``self.last_requests``, and the caller's objects
+        are left untouched, so one list can be served again.
+        """
         if not requests:
             raise ExperimentError("empty request trace")
         reqs = as_cluster_requests(requests)
@@ -417,6 +423,10 @@ class EdgeCluster:
         (or throttled) turn abandons the whole session — the user walks
         away and every token already spent on it becomes waste in the
         report's ledger.
+
+        Each turn is served as a fresh ``ClusterRequest`` built from its
+        interaction, so the served turns and their results are on
+        ``self.last_requests`` only.
         """
         if not interactions:
             raise ExperimentError("empty interaction trace")

@@ -432,7 +432,14 @@ def shared_prefix_workload(
 
 
 def as_cluster_requests(requests: Sequence[ServeRequest]) -> List[ClusterRequest]:
-    """Upgrade plain requests to cluster requests (shared shapes)."""
+    """Upgrade plain requests to cluster requests (shared shapes).
+
+    ``ClusterRequest``s pass through as they are.  A plain
+    ``ServeRequest`` becomes a fresh copy, so serving the result leaves
+    the caller's object untouched (no ``first_token_s``, ``finish_s`` or
+    ``generated``); :meth:`EdgeCluster.run` keeps the served copies on
+    ``last_requests``.
+    """
     out = []
     for r in requests:
         if isinstance(r, ClusterRequest):

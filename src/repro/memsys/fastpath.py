@@ -18,7 +18,15 @@ that:
   GC-threshold / dead-cap / OOM-retry reclaim — on an indexed copy
   where best-fit is a ``bisect`` instead of a scan.  One decoded token's
   reallocation of every KV tensor is one fused call
-  (:meth:`AllocatorMirror.grow_tensors`).
+  (:meth:`AllocatorMirror.grow_tensors`).  The index keeps a request
+  floor: it holds exactly the free blocks of size ``>= floor``.  KV
+  tensors and eager buffers only grow, so a free block smaller than
+  every request still to come can never be handed out again; before
+  each token :func:`simulate_stream` raises the floor to the smallest
+  rounded request left, and such blocks leave the index (they stay in
+  their segment's free-span maps, which coalescing reads).  Best fit
+  over blocks ``>= rounded`` is unchanged, as every request is
+  ``>= floor``.
 - :func:`TrajectoryCache.delta_for` simulates one batch's entire op
   stream (:class:`StreamSpec`) on a mirror and memoizes the resulting
   :class:`TrajectoryDelta` by ``(fingerprint, stream)``.  Because the
@@ -46,6 +54,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import OutOfMemoryError
@@ -189,13 +198,21 @@ class AllocatorMirror:
     ``(size, segment seq, offset, segment)`` — pool lists are always
     ordered by creation ``seq``, so ``bisect_left`` on ``(rounded, -1,
     -1)`` lands on exactly that minimum.
+
+    Request floor: ``index[pool]`` holds exactly the free blocks of
+    size ``>= floor``; smaller ones live only in their segment's
+    ``free_starts``/``free_ends``, which coalescing reads.  The floor
+    starts at 0 and only :meth:`raise_floor` moves it, upwards.  As
+    long as no request rounds below it, best fit over the index is
+    best fit over every free block.
     """
 
     __slots__ = ("capacity", "gc_threshold", "dead_cap_bytes",
                  "allocated", "reserved", "dead_bytes",
                  "peak_allocated", "peak_reserved",
                  "n_allocs", "n_segment_allocs", "n_reclaims",
-                 "n_oom_retries", "pools", "index", "_seq", "_n_orig")
+                 "n_oom_retries", "pools", "index", "floor", "_seq",
+                 "_n_orig")
 
     def __init__(self, allocator: CachingAllocator):
         self.capacity = allocator.capacity
@@ -214,6 +231,7 @@ class AllocatorMirror:
         self._seq = 0
         self.pools: Dict[str, List[_MirrorSegment]] = {p: [] for p in _POOLS}
         self.index: Dict[str, list] = {p: [] for p in _POOLS}
+        self.floor = 0
         self._n_orig: Dict[str, int] = {}
         for pool in _POOLS:
             idx = self.index[pool]
@@ -232,6 +250,15 @@ class AllocatorMirror:
             idx.sort()
 
     # -- operations ---------------------------------------------------------
+    def raise_floor(self, floor: int) -> None:
+        """Raise the request floor to ``floor`` (never lowers it) and drop
+        the indexed free blocks below it.  The caller promises that no
+        later request rounds below ``floor``."""
+        if floor > self.floor:
+            self.floor = floor
+            for idx in self.index.values():
+                del idx[:bisect_left(idx, (floor,))]
+
     def alloc(self, nbytes: int) -> tuple:
         rounded = _round_up(int(nbytes), ROUND_SMALL)
         pool = "small" if rounded < SMALL_LARGE_THRESHOLD else "large"
@@ -251,7 +278,8 @@ class AllocatorMirror:
             roff = offset + rounded
             seg.free_starts[roff] = remainder
             seg.free_ends[offset + size] = roff
-            insort(idx, (remainder, seg.seq, roff, seg))
+            if remainder >= self.floor:
+                insort(idx, (remainder, seg.seq, roff, seg))
         seg.used_blocks[offset] = rounded
         self.allocated += rounded
         self.n_allocs += 1
@@ -263,24 +291,28 @@ class AllocatorMirror:
         seg, offset, used_size, rounded = handle
         del seg.used_blocks[offset]
         idx = self.index[seg.pool]
+        floor = self.floor
         start = offset
         size = used_size
         end = offset + used_size
         right = seg.free_starts.pop(end, None)
         if right is not None:
             del seg.free_ends[end + right]
-            self._index_remove(idx, right, seg.seq, end)
+            if right >= floor:
+                self._index_remove(idx, right, seg.seq, end)
             size += right
             end += right
         left_start = seg.free_ends.pop(offset, None)
         if left_start is not None:
             left_size = seg.free_starts.pop(left_start)
-            self._index_remove(idx, left_size, seg.seq, left_start)
+            if left_size >= floor:
+                self._index_remove(idx, left_size, seg.seq, left_start)
             start = left_start
             size += left_size
         seg.free_starts[start] = size
         seg.free_ends[start + size] = start
-        insort(idx, (size, seg.seq, start, seg))
+        if size >= floor:
+            insort(idx, (size, seg.seq, start, seg))
         if not seg.used_blocks:
             self.dead_bytes += seg.size
         self.allocated -= rounded
@@ -294,15 +326,18 @@ class AllocatorMirror:
         :meth:`_maybe_gc` inlined.  The rounded size, pool, search key
         and split size are computed once; the counters live in locals
         and are written back before every :meth:`_new_segment` and
-        :meth:`_reclaim` call and on exit.  An OOM fires before the old
-        handle is released, like the real allocator's alloc-new-then-
-        free-old, so it leaves ``kv[:i]`` grown, ``kv[i:]`` as they were
-        and the counters as :meth:`_new_segment` left them.
+        :meth:`_reclaim` call and on exit.  Blocks below the request
+        floor stay out of the index, as in :meth:`alloc` and
+        :meth:`free`.  An OOM fires before the old handle is released,
+        like the real allocator's alloc-new-then-free-old, so it leaves
+        ``kv[:i]`` grown, ``kv[i:]`` as they were and the counters as
+        :meth:`_new_segment` left them.
         """
         rounded = _round_up(int(nbytes), ROUND_SMALL)
         pool = "small" if rounded < SMALL_LARGE_THRESHOLD else "large"
         idx = self.index[pool]
         key = (rounded, -1, -1)
+        floor = self.floor
         gc_threshold = self.gc_threshold
         dead_cap = self.dead_cap_bytes
         allocated = self.allocated
@@ -328,11 +363,13 @@ class AllocatorMirror:
                 size, offset = seg.size, 0
             if not seg.used_blocks:
                 dead -= seg.size
-            if size != rounded:
+            rest = size - rounded
+            if rest:
                 roff = offset + rounded
-                seg.free_starts[roff] = size - rounded
+                seg.free_starts[roff] = rest
                 seg.free_ends[offset + size] = roff
-                insort(idx, (size - rounded, seg.seq, roff, seg))
+                if rest >= floor:
+                    insort(idx, (rest, seg.seq, roff, seg))
             seg.used_blocks[offset] = rounded
             allocated += rounded
             n_allocs += 1
@@ -349,17 +386,21 @@ class AllocatorMirror:
             right = old.free_starts.pop(end, None)
             if right is not None:
                 del old.free_ends[end + right]
-                del fidx[bisect_left(fidx, (right, old.seq, end))]
+                if right >= floor:
+                    del fidx[bisect_left(fidx, (right, old.seq, end))]
                 size += right
             left_start = old.free_ends.pop(old_offset, None)
             if left_start is not None:
                 left_size = old.free_starts.pop(left_start)
-                del fidx[bisect_left(fidx, (left_size, old.seq, left_start))]
+                if left_size >= floor:
+                    del fidx[bisect_left(fidx,
+                                         (left_size, old.seq, left_start))]
                 start = left_start
                 size += left_size
             old.free_starts[start] = size
             old.free_ends[start + size] = start
-            insort(fidx, (size, old.seq, start, old))
+            if size >= floor:
+                insort(fidx, (size, old.seq, start, old))
             if not old.used_blocks:
                 dead += old.size
             allocated -= old_rounded
@@ -430,7 +471,8 @@ class AllocatorMirror:
                     # one (coalesced) free span covering it.
                     self.reserved -= seg.size
                     reclaimed = True
-                    self._index_remove(idx, seg.size, seg.seq, 0)
+                    if seg.size >= self.floor:
+                        self._index_remove(idx, seg.size, seg.seq, 0)
                 else:
                     kept.append(seg)
             self.pools[pool] = kept
@@ -509,7 +551,9 @@ def _grow_by_segment(mirror: AllocatorMirror, kv: List[tuple],
     ``_new_segment`` (capacity check, OOM retry, reclaim of both pools)
     and ``_reclaim`` run unchanged.  The free-span dicts of the segments
     it touches, and the tensors' remainders in the index, are written
-    once on exit.
+    once on exit.  The request floor holds throughout: a hole below it
+    gets its free-span dicts at once and stays out of the index, and so
+    do remainders below it on exit.
 
     Returns the first token not replayed and whether it ran out of
     memory; ``kv`` holds the (partial) handles either way.  Returns
@@ -535,6 +579,7 @@ def _grow_by_segment(mirror: AllocatorMirror, kv: List[tuple],
     held = {h[0] for h in kv}
     idx[:] = [e for e in idx if e[3] not in held]
     entry = list(kv)
+    floor = mirror.floor
     gc_threshold = mirror.gc_threshold
     dead_cap = mirror.dead_cap_bytes
     allocated = mirror.allocated
@@ -570,7 +615,11 @@ def _grow_by_segment(mirror: AllocatorMirror, kv: List[tuple],
                     peak = allocated
                 # Free the old tensor: its segment coalesces into a hole.
                 old.used_blocks.clear()
-                insort(idx, (old.size, old.seq, 0, old))
+                if old.size >= floor:
+                    insort(idx, (old.size, old.seq, 0, old))
+                else:
+                    old.free_starts = {0: old.size}
+                    old.free_ends = {old.size: 0}
                 dead += old.size
                 allocated -= old_rounded
                 if (gc_threshold is not None
@@ -604,9 +653,20 @@ def _grow_by_segment(mirror: AllocatorMirror, kv: List[tuple],
             seg.free_starts = {used: rest} if rest else {}
             seg.free_ends = {seg.size: used} if rest else {}
     idx.extend((free, h[0].seq, off, h[0])
-               for h in kv for off, free in h[0].free_starts.items())
+               for h in kv for off, free in h[0].free_starts.items()
+               if free >= floor)
     idx.sort()
     return j, oom
+
+
+def _request_floors(stream: StreamSpec) -> List[int]:
+    """Per token ``j``, the smallest rounded KV or eager request of
+    tokens ``j, j+1, ...`` (0 for a token with neither)."""
+    steps = [s for s in (stream.kv_step_bytes, stream.eager_step_bytes)
+             if s]
+    own = [min((_round_up(s[j], ROUND_SMALL) for s in steps), default=0)
+           for j in range(stream.n_tokens)]
+    return list(accumulate(reversed(own), min))[::-1]
 
 
 def simulate_stream(mirror: AllocatorMirror,
@@ -620,6 +680,11 @@ def simulate_stream(mirror: AllocatorMirror,
     replayed a segment at a time whenever :func:`_grow_by_segment`
     applies, checked again at every token boundary; every other token's
     KV growth is one :meth:`AllocatorMirror.grow_tensors` call.
+
+    Before token ``j`` the mirror's request floor is raised to the
+    smallest rounded request of tokens ``j`` onwards: free blocks below
+    it can never be handed out again and leave the best-fit index.  As
+    tensors and eager buffers only grow, that is most of them.
     """
     oom: Optional[Tuple[str, int]] = None
     ws = None
@@ -635,8 +700,10 @@ def simulate_stream(mirror: AllocatorMirror,
         oom = ("setup", 0)
     by_segment = (bool(kv) and bool(stream.kv_step_bytes)
                   and not stream.eager_step_bytes)
+    floors = _request_floors(stream)
     j = 0
     while oom is None and j < stream.n_tokens:
+        mirror.raise_floor(floors[j])
         if by_segment:
             j, out = _grow_by_segment(mirror, kv, stream.kv_step_bytes, j)
             if out:

@@ -17,7 +17,7 @@ blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.errors import AllocationError, ConfigError, OutOfMemoryError
 from repro.memsys.allocator import Allocation, CachingAllocator
@@ -32,9 +32,6 @@ class PagedStats:
     used_blocks: int = 0
     peak_used_blocks: int = 0
     allocations: int = 0
-    #: Copy-on-write block duplications (a sequence wrote into a block
-    #: it shared with someone else and got its own copy first).
-    cow_copies: int = 0
 
 
 class PagedKVCache:
@@ -77,9 +74,6 @@ class PagedKVCache:
         #: sequence id -> (block ids, tokens used)
         self._tables: Dict[int, List[int]] = {}
         self._tokens: Dict[int, int] = {}
-        #: block id -> reference count; a block referenced by more than
-        #: one table is a shared prefix block (radix caching).
-        self._refs: Dict[int, int] = {}
         self.stats = PagedStats(total_blocks=n_blocks)
 
     # -- block accounting ----------------------------------------------------
@@ -91,31 +85,12 @@ class PagedKVCache:
                 context="paged KV pool exhausted",
             )
         blk = self._free.pop()
-        self._refs[blk] = 1
         self.stats.used_blocks += 1
         self.stats.peak_used_blocks = max(
             self.stats.peak_used_blocks, self.stats.used_blocks
         )
         self.stats.allocations += 1
         return blk
-
-    def _acquire_block(self, blk: int) -> int:
-        """Take another reference on a live (shared) block."""
-        if self._refs.get(blk, 0) < 1:
-            raise AllocationError(f"block {blk} is not live; cannot share")
-        self._refs[blk] += 1
-        return blk
-
-    def _release_block(self, blk: int) -> None:
-        refs = self._refs.get(blk, 0)
-        if refs < 1:
-            raise AllocationError(f"block {blk} released while free")
-        if refs == 1:
-            del self._refs[blk]
-            self._free.append(blk)
-            self.stats.used_blocks -= 1
-        else:
-            self._refs[blk] = refs - 1
 
     def blocks_needed(self, n_tokens: int) -> int:
         """Blocks required for a sequence of ``n_tokens``."""
@@ -130,90 +105,40 @@ class PagedKVCache:
         return self.blocks_needed(n_tokens) <= self.free_blocks
 
     # -- sequence lifecycle ----------------------------------------------------
-    def add_sequence(self, seq_id: int, prompt_tokens: int,
-                     shared_blocks: "Optional[List[int]]" = None) -> None:
-        """Admit a sequence and allocate blocks for its prompt.
-
-        ``shared_blocks`` (radix prefix caching) are live block ids whose
-        KV covers the head of this prompt — they join the table by
-        reference instead of fresh allocation, so only the tail past the
-        shared prefix costs pool capacity.
-        """
+    def add_sequence(self, seq_id: int, prompt_tokens: int) -> None:
+        """Admit a sequence and allocate blocks for its prompt."""
         if seq_id in self._tables:
             raise AllocationError(f"sequence {seq_id} already present")
         if prompt_tokens < 1:
             raise ConfigError("prompt must have >= 1 token")
-        shared = list(shared_blocks or ())
         needed = self.blocks_needed(prompt_tokens)
-        if len(shared) > needed:
-            raise AllocationError(
-                f"{len(shared)} shared blocks exceed the {needed} the "
-                f"prompt needs")
-        fresh = needed - len(shared)
-        if fresh > self.free_blocks:
+        if needed > self.free_blocks:
             raise OutOfMemoryError(
-                requested_bytes=fresh * self.bytes_per_block,
+                requested_bytes=needed * self.bytes_per_block,
                 available_bytes=self.free_blocks * self.bytes_per_block,
                 context=f"admitting sequence {seq_id}",
             )
-        table = [self._acquire_block(b) for b in shared]
-        table.extend(self._take_block() for _ in range(fresh))
-        self._tables[seq_id] = table
+        self._tables[seq_id] = [self._take_block() for _ in range(needed)]
         self._tokens[seq_id] = prompt_tokens
 
-    def prefix_blocks(self, seq_id: int, n_blocks: int) -> List[int]:
-        """The first ``n_blocks`` block ids of a live sequence (for
-        sharing with a new sequence whose prompt starts identically)."""
-        table = self._tables.get(seq_id)
-        if table is None:
-            raise AllocationError(f"unknown sequence {seq_id}")
-        if n_blocks > len(table):
-            raise AllocationError(
-                f"sequence {seq_id} holds {len(table)} blocks, "
-                f"{n_blocks} requested")
-        return table[:n_blocks]
-
-    def copy_block(self, seq_id: int, index: int) -> bool:
-        """Copy-on-write: give ``seq_id`` a private copy of table block
-        ``index`` if it is currently shared.  Returns True when a copy
-        was made (may raise :class:`OutOfMemoryError` for the copy)."""
-        table = self._tables.get(seq_id)
-        if table is None:
-            raise AllocationError(f"unknown sequence {seq_id}")
-        blk = table[index]
-        if self._refs.get(blk, 0) <= 1:
-            return False
-        fresh = self._take_block()
-        table[index] = fresh
-        self._release_block(blk)
-        self.stats.cow_copies += 1
-        return True
-
     def append_token(self, seq_id: int) -> None:
-        """Extend a sequence by one token, growing its table if needed.
-
-        Writing into a shared last block triggers copy-on-write first —
-        the radix prefix the block belongs to must stay immutable.
-        """
+        """Extend a sequence by one token, growing its table if needed."""
         table = self._tables.get(seq_id)
         if table is None:
             raise AllocationError(f"unknown sequence {seq_id}")
         tokens = self._tokens[seq_id] + 1
         if self.blocks_needed(tokens) > len(table):
             table.append(self._take_block())
-        else:
-            self.copy_block(seq_id, len(table) - 1)
         self._tokens[seq_id] = tokens
 
     def release_sequence(self, seq_id: int) -> None:
-        """Drop all of a finished sequence's block references; blocks
-        return to the pool once their last reference is gone."""
+        """Return all of a finished sequence's blocks to the pool."""
         table = self._tables.pop(seq_id, None)
         if table is None:
             raise AllocationError(f"unknown sequence {seq_id}")
         self._tokens.pop(seq_id)
-        for blk in table:
-            self._release_block(blk)
+        self._free.extend(table)
+        self.stats.used_blocks -= len(table)
 
     @property
     def live_sequences(self) -> List[int]:
@@ -236,21 +161,12 @@ class PagedKVCache:
         )
 
     @property
-    def shared_blocks(self) -> int:
-        """Blocks currently referenced by more than one sequence."""
-        return sum(1 for r in self._refs.values() if r > 1)
-
-    @property
     def internal_fragmentation(self) -> float:
-        """Wasted fraction inside allocated blocks (last-block slack).
-
-        Clamped at 0: with prefix sharing, logical bytes can exceed the
-        physical blocks backing them.
-        """
+        """Wasted fraction inside allocated blocks (last-block slack)."""
         used_bytes = self.stats.used_blocks * self.bytes_per_block
         if used_bytes == 0:
             return 0.0
-        return max(0.0, 1.0 - self.live_bytes / used_bytes)
+        return 1.0 - self.live_bytes / used_bytes
 
     def concat_traffic_bytes(self) -> int:
         """Paged caches never copy on growth."""
@@ -262,5 +178,4 @@ class PagedKVCache:
             raise AllocationError("release_pool() with live sequences")
         self.allocator.free(self._pool)
         self._free.clear()
-        self._refs.clear()
         self.stats.used_blocks = 0

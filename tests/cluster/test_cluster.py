@@ -78,6 +78,24 @@ class TestDeterminism:
         assert [(r.first_token_s, r.finish_s, r.node_id) for r in a.requests] \
             == [(r.first_token_s, r.finish_s, r.node_id) for r in b.requests]
 
+    def test_plain_requests_are_copied_and_left_untouched(self):
+        reqs = poisson_workload(2.0, 12, input_tokens=16, output_tokens=16,
+                                seed=5)
+        outcomes = []
+        for _ in range(2):
+            fleet = FleetSpec.of(list(FLEET), model="llama",
+                                 precision="fp16", policy="jsq")
+            cluster = EdgeCluster.of(fleet)
+            rep = cluster.run(reqs)
+            assert cluster.last_requests == rep.requests
+            assert all(r is not c for r, c in zip(reqs, rep.requests))
+            outcomes.append([(r.req_id, r.first_token_s, r.finish_s,
+                              r.generated, r.node_id) for r in rep.requests])
+        assert outcomes[0] == outcomes[1]
+        assert all(r.finish_s is not None for r in cluster.last_requests)
+        assert all(r.first_token_s is None and r.finish_s is None
+                   and r.generated == 0 for r in reqs)
+
 
 class TestMonotonicity:
     @pytest.mark.parametrize("policy", list_policies())

@@ -742,3 +742,192 @@ def test_eager_streams_match_oracle_and_allocator():
     check()
     assert any(o is None for o in ooms)
     assert any(o is not None and o[0] == "decode" for o in ooms)
+
+
+# -- the request floor on the best-fit index ------------------------------
+
+
+def _check_index(m: AllocatorMirror) -> None:
+    """``index[pool]`` is exactly the sorted free blocks ``>= floor`` of
+    the pool's live segments: none missing, none stale."""
+    for pool in ("small", "large"):
+        segs = {seg.seq: seg for seg in m.pools[pool]}
+        want = sorted((size, seq, off) for seq, seg in segs.items()
+                      for off, size in seg.free_starts.items()
+                      if size >= m.floor)
+        assert [e[:3] for e in m.index[pool]] == want, pool
+        assert all(segs[e[1]] is e[3] for e in m.index[pool]), pool
+
+
+def _suffix_min(sizes: List[int]) -> List[int]:
+    out, low = [], None
+    for n in reversed(sizes):
+        low = n if low is None else min(low, n)
+        out.append(low)
+    return out[::-1]
+
+
+def _rounded(n: int) -> int:
+    return -(-n // 512) * 512
+
+
+@dataclass
+class _FloorLog:
+    """Floor paths one simulated batch walked through."""
+
+    dropped_on_raise: bool = False
+    below_floor_coalesce: bool = False
+    below_floor_reclaim: bool = False
+    eager_sets_floor: bool = False
+    segment_regime_with_floor: bool = False
+    below_floor_hole: bool = False
+
+
+def _below_floor_neighbours(m: AllocatorMirror, handles) -> list:
+    out = []
+    for seg, offset, used, _ in handles:
+        right = seg.free_starts.get(offset + used)
+        if right is not None and right < m.floor:
+            out.append((seg, offset + used, right))
+        left = seg.free_ends.get(offset)
+        if left is not None and seg.free_starts[left] < m.floor:
+            out.append((seg, left, seg.free_starts[left]))
+    return out
+
+
+@contextmanager
+def _watch_floor(log: _FloorLog):
+    """Checks the index invariant at every floor raise (a token
+    boundary) and logs which floor paths ran."""
+    real = {name: getattr(AllocatorMirror, name)
+            for name in ("raise_floor", "free", "grow_tensors", "_reclaim")}
+    by_segment = fastpath._grow_by_segment
+
+    def raise_floor(m, floor):
+        _check_index(m)
+        n = sum(map(len, m.index.values()))
+        real["raise_floor"](m, floor)
+        log.dropped_on_raise |= sum(map(len, m.index.values())) < n
+        _check_index(m)
+
+    def coalescing(name):
+        def call(m, *args):
+            handles = args[0] if name == "grow_tensors" else [args[0]]
+            low = _below_floor_neighbours(m, handles)
+            try:
+                return real[name](m, *args)
+            finally:
+                log.below_floor_coalesce |= any(
+                    seg.free_starts.get(off) != size
+                    and seg in m.pools[seg.pool] for seg, off, size in low)
+        return call
+
+    def reclaim(m):
+        log.below_floor_reclaim |= any(
+            not seg.used_blocks and seg.size < m.floor
+            for pool in m.pools.values() for seg in pool)
+        real["_reclaim"](m)
+
+    def grow_by_segment(m, kv, steps, j):
+        j2, oom = by_segment(m, kv, steps, j)
+        if j2 > j or oom:
+            log.segment_regime_with_floor |= m.floor > 0
+            log.below_floor_hole |= any(
+                not seg.used_blocks and seg.size < m.floor
+                for seg in m.pools["large"])
+        return j2, oom
+
+    with mock.patch.multiple(
+            AllocatorMirror, raise_floor=raise_floor,
+            free=coalescing("free"), grow_tensors=coalescing("grow_tensors"),
+            _reclaim=reclaim), \
+            mock.patch.object(fastpath, "_grow_by_segment", grow_by_segment):
+        yield
+
+
+def _check_floor_case(case: _Case) -> _FloorLog:
+    """The floored replay == the replay with the floor pinned at 0 == the
+    real allocator, on the OOM marker, end state, delta and counters."""
+    log = _FloorLog()
+    stream = case.stream
+    kv = [_rounded(n) for n in stream.kv_step_bytes]
+    eager = [_rounded(n) for n in stream.eager_step_bytes]
+    if kv and eager:
+        both = _suffix_min([min(a, b) for a, b in zip(kv, eager)])
+        log.eager_sets_floor = both != _suffix_min(kv)
+
+    def outcome(watch: bool):
+        mirror = AllocatorMirror(case.allocator())
+        if watch:
+            with _watch_floor(log):
+                oom = simulate_stream(mirror, stream)
+            _check_index(mirror)
+        else:
+            with mock.patch.object(AllocatorMirror, "raise_floor",
+                                   lambda m, floor: None):
+                oom = simulate_stream(mirror, stream)
+            assert mirror.floor == 0
+        return (oom, mirror.fingerprint(), mirror.delta(oom),
+                tuple(getattr(mirror, c) for c in _COUNTERS))
+
+    got, pinned = outcome(watch=True), outcome(watch=False)
+    assert got[0] == pinned[0], "OOM marker differs"
+    assert got[1] == pinned[1], "end-state fingerprint differs"
+    assert got[2] == pinned[2], "trajectory delta differs"
+    assert got[3] == pinned[3], "counters differ"
+    real = case.allocator()
+    real.reset_peaks()
+    before = {c: getattr(real.stats, c) for c in
+              ("n_allocs", "n_segment_allocs", "n_reclaims", "n_oom_retries")}
+    assert _replay_stream_real(real, stream) == got[0]
+    assert state_fingerprint(real) == got[1]
+    delta = got[2]
+    assert (delta.peak_allocated, delta.peak_reserved, delta.reserved_end,
+            delta.dead_bytes_end) == (
+        real.stats.peak_allocated, real.stats.peak_reserved,
+        real.stats.reserved, real._dead_bytes)
+    assert (delta.n_allocs, delta.n_segment_allocs, delta.n_reclaims,
+            delta.n_oom_retries) == tuple(
+        getattr(real.stats, c) - b for c, b in before.items())
+    return log
+
+
+def test_request_floor_matches_unfloored_mirror_and_allocator():
+    """Hypothesis differential of the request floor: whole batches with
+    the floor, with it pinned at 0, and on the real allocator, with the
+    index invariant checked at every token boundary.  The suite must
+    reach every floor path, or it proves nothing."""
+    logs: List[_FloorLog] = []
+
+    def growth(n_tensors, prefill, step, dead_cap=None, warm=(),
+               eager=None):
+        steps = tuple(prefill + (j + 1) * step for j in range(6))
+        eager_steps = (() if eager is None else
+                       tuple(eager + (j + 1) * 2 * KiB for j in range(6)))
+        return _Case(capacity=400 * MiB, gc_threshold=None,
+                     dead_cap=dead_cap, warm=warm, stream=StreamSpec(
+                         workspace_bytes=64 * KiB, n_kv_tensors=n_tensors,
+                         kv_prefill_bytes=prefill, kv_step_bytes=steps,
+                         eager_prefill_bytes=eager,
+                         eager_step_bytes=eager_steps, n_tokens=6))
+
+    @settings(max_examples=250, deadline=None, database=None,
+              derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=st.booleans().flatmap(lambda eager: _cases(eager=eager)))
+    # Two full 20 MiB segments' tensors grow into fresh 22 MiB ones in
+    # the segment regime, leaving 20 MiB holes below the floor; with a
+    # zero dead cap each such hole is reclaimed at once.
+    @example(case=growth(2, 20 * MiB, 48 * KiB))
+    @example(case=growth(2, 20 * MiB, 48 * KiB, dead_cap=0))
+    # KV tensors packed in the small pool beside a smaller eager buffer,
+    # whose requests set the floor.
+    @example(case=growth(4, 256 * KiB, 32 * KiB, warm=((3 * MiB, True),),
+                         eager=64 * KiB))
+    def check(case):
+        logs.append(_check_floor_case(case))
+
+    check()
+    seen = {name: any(getattr(lg, name) for lg in logs)
+            for name in _FloorLog.__dataclass_fields__}
+    assert all(seen.values()), seen

@@ -132,66 +132,3 @@ def test_block_accounting_invariants(ops):
         assert cache.stats.used_blocks + cache.free_blocks == cache.stats.total_blocks
         assert cache.stats.used_blocks >= cache.blocks_needed(1) * 0 + len(live)
 
-
-class TestSharedBlocks:
-    """Refcounted prefix sharing + copy-on-write (radix caching support)."""
-
-    def test_shared_admission_costs_only_the_tail(self, spec):
-        cache, _ = make_cache(spec)
-        cache.add_sequence(1, 48)  # 3 blocks
-        used = cache.stats.used_blocks
-        donated = cache.prefix_blocks(1, 2)
-        cache.add_sequence(2, 48, shared_blocks=donated)
-        # Only the third (private) block cost pool capacity.
-        assert cache.stats.used_blocks == used + 1
-        assert cache.shared_blocks == 2
-        assert cache.prefix_blocks(2, 2) == donated
-
-    def test_shared_blocks_survive_donor_release(self, spec):
-        cache, _ = make_cache(spec)
-        cache.add_sequence(1, 32)
-        cache.add_sequence(2, 32, shared_blocks=cache.prefix_blocks(1, 2))
-        cache.release_sequence(1)
-        # Sequence 2 still holds both blocks; nothing returned to pool.
-        assert cache.stats.used_blocks == 2
-        assert cache.shared_blocks == 0
-        cache.release_sequence(2)
-        assert cache.stats.used_blocks == 0
-
-    def test_append_into_shared_last_block_copies_first(self, spec):
-        cache, _ = make_cache(spec)
-        cache.add_sequence(1, 24)  # 2 blocks, last half-full
-        cache.add_sequence(2, 24, shared_blocks=cache.prefix_blocks(1, 2))
-        assert cache.stats.cow_copies == 0
-        cache.append_token(2)  # writes into the shared half-full block
-        assert cache.stats.cow_copies == 1
-        assert cache.shared_blocks == 1  # only the first block stays shared
-        # The donor's table is untouched.
-        assert cache.seq_tokens(1) == 24
-
-    def test_copy_block_noop_when_private(self, spec):
-        cache, _ = make_cache(spec)
-        cache.add_sequence(1, 16)
-        assert cache.copy_block(1, 0) is False
-        assert cache.stats.cow_copies == 0
-
-    def test_sharing_dead_block_rejected(self, spec):
-        cache, _ = make_cache(spec)
-        cache.add_sequence(1, 16)
-        blocks = cache.prefix_blocks(1, 1)
-        cache.release_sequence(1)
-        with pytest.raises(AllocationError):
-            cache.add_sequence(2, 16, shared_blocks=blocks)
-
-    def test_more_shared_than_needed_rejected(self, spec):
-        cache, _ = make_cache(spec)
-        cache.add_sequence(1, 48)
-        with pytest.raises(AllocationError):
-            cache.add_sequence(2, 16, shared_blocks=cache.prefix_blocks(1, 3))
-
-    def test_fragmentation_clamped_under_sharing(self, spec):
-        cache, _ = make_cache(spec)
-        cache.add_sequence(1, 32)
-        cache.add_sequence(2, 32, shared_blocks=cache.prefix_blocks(1, 2))
-        # Logical bytes (2 x 32 tokens) exceed the 2 physical blocks.
-        assert cache.internal_fragmentation == 0.0

@@ -121,3 +121,54 @@ def test_lines_and_record_append(tmp_path, capsys):
     assert rec["seeds"] == [14, 13, 12, 11, 10]
     assert rec["metrics"]["configs_per_s"]["won"] == 4
     assert "_runs" not in rec["metrics"] and rec["bad_runs"] == 0
+
+
+def _traced(memsys_calls: int) -> dict:
+    """The final line of a ``--trace 1`` run: counts, timings, ratios."""
+    values = {"sim.events": 29000, "sim.self_s": 0.4,
+              "cluster.node.resumptions": 0, "cluster.admit.calls": 0,
+              "engine.executor.calls": 14227, "memsys.calls": memsys_calls,
+              "memsys.self_s": 1.5, "telemetry.samples": 0,
+              "kvtier.swap_outs": 0, "engine.kernels.memo_hit_rate": 0.9,
+              "trace.overhead_pct": 3.0}
+    return {"correct": True, "attempted": 4, "failed": 0,
+            "metrics": {k: {"value": v, "unit": "x"}
+                        for k, v in values.items()}}
+
+
+def test_layer_counts_keep_calls_events_resumptions_and_samples():
+    assert perf_pairs.layer_counts(_traced(11585)) == {
+        "cluster.admit.calls": 0, "cluster.node.resumptions": 0,
+        "engine.executor.calls": 14227, "memsys.calls": 11585,
+        "sim.events": 29000, "telemetry.samples": 0}
+
+
+def test_layers_run_one_traced_seed_per_side_into_the_record(
+        tmp_path, monkeypatch, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": METRICS, "run_seconds": 9}))
+    lines = tmp_path / "runs.jsonl"
+    lines.write_text("\n".join(
+        json.dumps(dict(r, side=side, seed=3))
+        for side, r in zip(perf_pairs.SIDES, (PARENT[0], CHANGE[0]))))
+    calls = []
+
+    def fake_run(tree, workload, seed, trace=0):
+        calls.append((tree.name, workload, seed, trace))
+        return _traced(11585 if tree.name == "p" else 11586)
+
+    monkeypatch.setattr(perf_pairs, "run_once", fake_run)
+    (tmp_path / "p").mkdir()
+    argv = ["--change", str(tmp_path), "--workload", "w", "--lines",
+            str(lines), "--layers", "--record"]
+    perf_pairs.main(argv + ["--parent", str(tmp_path / "p")])
+    assert calls == [("p", "w", 1, 1), (tmp_path.name, "w", 1, 1)]
+    assert "memsys.calls" in capsys.readouterr().out
+    rec = json.loads((tmp_path / perf_pairs.TRAJECTORY).read_text())[0]
+    assert rec["layers"]["parent"]["memsys.calls"] == 11585
+    assert rec["layers"]["change"]["memsys.calls"] == 11586
+    assert set(rec["layers"]["change"]) == set(
+        perf_pairs.layer_counts(_traced(0)))
+    # The traced runs need the parent tree, even from saved lines.
+    with pytest.raises(SystemExit):
+        perf_pairs.main(argv)

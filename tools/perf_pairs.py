@@ -13,8 +13,14 @@ says little; the parent's quartiles show how wide that noise was.
     python3 tools/perf_pairs.py --parent ../parent --change . \\
         --workload study_cold --pairs 10 --first-seed 2
 
-``--record`` appends the summary as one record to ``BENCH_perf.json``
-in the change tree's root (a JSON list, oldest first).  Every run is
+``--layers`` then runs one ``--trace 1 --seed 1`` run per side and
+prints each side's per-layer counts (``*.calls``, ``sim.events``,
+``cluster.node.resumptions``, ``telemetry.samples``): unlike the
+timings they are exact, so they show which layers the change made do
+less work.  ``--record`` appends the summary, with those counts under
+``"layers"`` when ``--layers`` is given, as one record to
+``BENCH_perf.json`` in the change tree's root (a JSON list, oldest
+first).  Every run is
 printed as one JSON line tagged with its ``side`` and ``seed``;
 ``--lines`` summarises such lines saved from earlier runs instead of
 running anything, pairing them up by seed whatever their order.
@@ -33,15 +39,34 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, \
 
 TRAJECTORY = "BENCH_perf.json"
 SIDES = ("parent", "change")
+#: Seed of the traced run ``--layers`` makes per side.
+LAYER_SEED = 1
+#: Per-layer counts besides the ``*.calls`` ones that ``--layers`` keeps.
+LAYER_COUNTS = ("sim.events", "cluster.node.resumptions",
+                "telemetry.samples")
 
 
-def run_once(tree: Path, workload: str, seed: int) -> dict:
+def run_once(tree: Path, workload: str, seed: int, trace: int = 0) -> dict:
     """One perfbench run in ``tree``; returns its final JSON line."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--trace", "0"],
+         "--seed", str(seed), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def layer_counts(traced: dict) -> Dict[str, int]:
+    """The per-layer counts of one ``--trace 1`` run's final JSON line."""
+    return {name: m["value"] for name, m in sorted(traced["metrics"].items())
+            if name.endswith(".calls") or name in LAYER_COUNTS}
+
+
+def format_layers(layers: Dict[str, Dict[str, int]]) -> str:
+    rows = [f"{'layer count':<26} {'parent':>12} {'change':>12}"]
+    for name in layers["parent"]:
+        rows.append(f"{name:<26} {layers['parent'][name]:>12} "
+                    f"{layers['change'].get(name, '-'):>12}")
+    return "\n".join(rows)
 
 
 def run_pairs(trees: Dict[str, Path], workload: str, seeds: Sequence[int],
@@ -150,6 +175,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap.add_argument("--first-seed", type=int, default=2)
     ap.add_argument("--lines", type=Path,
                     help="summarise saved JSON lines instead of running")
+    ap.add_argument("--layers", action="store_true",
+                    help="also record each side's per-layer counts")
     ap.add_argument("--record", action="store_true",
                     help=f"append the summary to {TRAJECTORY}")
     ap.add_argument("--pr", type=int, help="PR number for the record")
@@ -159,14 +186,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     change = args.change.resolve()
     bench = json.loads((change / "BENCHMARK.json").read_text())
+    if args.parent is None and (args.lines is None or args.layers):
+        ap.error("--parent is required unless --lines is given "
+                 "without --layers")
+    trees = {"parent": args.parent and args.parent.resolve(),
+             "change": change}
     if args.lines is not None:
         runs = [json.loads(line) for line in args.lines.read_text().split("\n")
                 if line.startswith("{")]
     else:
-        if args.parent is None:
-            ap.error("--parent is required unless --lines is given")
         runs = []
-        trees = {"parent": args.parent.resolve(), "change": change}
         seeds = range(args.first_seed, args.first_seed + args.pairs)
         for r in run_pairs(trees, args.workload, seeds):
             print(json.dumps(r), flush=True)
@@ -174,14 +203,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     seeds, parent, changed = split_sides(runs)
     summary = summarize(parent, changed, bench["end_to_end"])
     print(format_summary(summary))
+    layers = None
+    if args.layers:
+        layers = {side: layer_counts(run_once(trees[side], args.workload,
+                                              LAYER_SEED, trace=1))
+                  for side in SIDES}
+        print(format_layers(layers))
     if args.record:
         counts = summary.pop("_runs")
-        append_record(change / TRAJECTORY, {
+        record = {
             "pr": args.pr, "parent": args.parent_sha, "sha": args.sha,
             "workload": args.workload, "pairs": counts["pairs"],
             "seeds": seeds, "seconds": bench["run_seconds"],
             "bad_runs": counts["bad_runs"],
-            "metrics": summary, "source": "perfbench"})
+            "metrics": summary, "source": "perfbench"}
+        if layers is not None:
+            record["layers"] = layers
+        append_record(change / TRAJECTORY, record)
     return 0
 
 
