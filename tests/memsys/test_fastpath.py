@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import List, Optional, Tuple
 from unittest import mock
 
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro.errors import OutOfMemoryError
 from repro.memsys import fastpath
-from repro.memsys.allocator import CachingAllocator
+from repro.memsys.allocator import ROUND_SMALL, CachingAllocator, _round_up
 from repro.memsys.fastpath import (
     TRAJECTORY_CACHE,
     AllocatorMirror,
@@ -760,15 +761,7 @@ def _check_index(m: AllocatorMirror) -> None:
 
 
 def _suffix_min(sizes: List[int]) -> List[int]:
-    out, low = [], None
-    for n in reversed(sizes):
-        low = n if low is None else min(low, n)
-        out.append(low)
-    return out[::-1]
-
-
-def _rounded(n: int) -> int:
-    return -(-n // 512) * 512
+    return list(accumulate(reversed(sizes), min))[::-1]
 
 
 @dataclass
@@ -850,8 +843,8 @@ def _check_floor_case(case: _Case) -> _FloorLog:
     real allocator, on the OOM marker, end state, delta and counters."""
     log = _FloorLog()
     stream = case.stream
-    kv = [_rounded(n) for n in stream.kv_step_bytes]
-    eager = [_rounded(n) for n in stream.eager_step_bytes]
+    kv = [_round_up(n, ROUND_SMALL) for n in stream.kv_step_bytes]
+    eager = [_round_up(n, ROUND_SMALL) for n in stream.eager_step_bytes]
     if kv and eager:
         both = _suffix_min([min(a, b) for a, b in zip(kv, eager)])
         log.eager_sets_floor = both != _suffix_min(kv)
