@@ -471,6 +471,36 @@ def test_segment_replay_matches_mirror_and_allocator():
             kv_prefill_bytes=900 * KiB,
             kv_step_bytes=(1200 * KiB, 1500 * KiB, 1800 * KiB),
             eager_prefill_bytes=None, eager_step_bytes=(), n_tokens=3)))
+    # The examples above and below reach every gate on their own:
+    # Hypothesis draws constants from the loaded source, so what the
+    # generated examples reach changes with the import set.  A 24 MiB
+    # tensor outgrowing a full 60 MiB pool: an OOM on an exact fit.
+    @example(case=_Case(
+        capacity=60 * MiB, gc_threshold=None, dead_cap=None, warm=(),
+        stream=StreamSpec(
+            workspace_bytes=24 * MiB, n_kv_tensors=1,
+            kv_prefill_bytes=24 * MiB, kv_step_bytes=(24 * MiB + 48 * KiB,),
+            eager_prefill_bytes=None, eager_step_bytes=(), n_tokens=1)))
+    # Six tensors moving out of their segments under a 5% GC fraction.
+    @example(case=_Case(
+        capacity=280 * MiB, gc_threshold=0.05, dead_cap=None, warm=(),
+        stream=StreamSpec(
+            workspace_bytes=10 * MiB + 512, n_kv_tensors=6,
+            kv_prefill_bytes=10 * MiB + 512,
+            kv_step_bytes=(10 * MiB + 512 * KiB,),
+            eager_prefill_bytes=None, eager_step_bytes=(), n_tokens=1)))
+    # A tensor climbing 2 MiB a token dips back to its prefill size
+    # mid-stream: it leaves the regime and enters it again, with the
+    # dead cap reclaiming the segments it outgrows.
+    @example(case=_Case(
+        capacity=160 * MiB, gc_threshold=None, dead_cap=90 * MiB, warm=(),
+        stream=StreamSpec(
+            workspace_bytes=26 * MiB, n_kv_tensors=1,
+            kv_prefill_bytes=10 * MiB,
+            kv_step_bytes=tuple(10 * MiB if j == 3
+                                else 10 * MiB + (j + 1) * 2 * MiB - 400
+                                for j in range(11)),
+            eager_prefill_bytes=None, eager_step_bytes=(), n_tokens=11)))
     def run(case):
         logs.append((case, _check_case(case)))
 
@@ -690,26 +720,43 @@ def test_fused_token_pass_matches_oracle_and_allocator():
     every rare path of a token, or it proves nothing."""
     logs: List[_TokenLog] = []
 
-    def boundary(gc_threshold, dead_cap, step):
-        # One 10 MiB tensor moves to a fresh segment and leaves its old
-        # 20 MiB segment fully free: exactly at the GC knob's boundary.
+    def tokens(gc_threshold, dead_cap, steps, capacity=400 * MiB, warm=(),
+               n_tensors=1, prefill=10 * MiB, stir=None):
         unused = StreamSpec(workspace_bytes=1, n_kv_tensors=1,
                             kv_prefill_bytes=1, kv_step_bytes=(),
                             eager_prefill_bytes=None, eager_step_bytes=(),
                             n_tokens=0)
-        case = _Case(capacity=400 * MiB, gc_threshold=gc_threshold,
-                     dead_cap=dead_cap, warm=(), stream=unused)
-        return _Tokens(case=case, n_tensors=1, prefill=10 * MiB,
-                       steps=(step,), stir=(None,))
+        case = _Case(capacity=capacity, gc_threshold=gc_threshold,
+                     dead_cap=dead_cap, warm=warm, stream=unused)
+        return _Tokens(case=case, n_tensors=n_tensors, prefill=prefill,
+                       steps=steps, stir=stir or (None,) * len(steps))
 
     @settings(max_examples=250, deadline=None, database=None,
               derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     @given(run=_token_runs())
+    # One 10 MiB tensor moves to a fresh segment and leaves its old
+    # 20 MiB segment fully free: exactly at the GC knob's boundary.
     # Free fraction 1 - 20/40 == 0.5 and 20 MiB dead == the cap: no
     # reclaim, as both tests are strict.
-    @example(run=boundary(0.5, None, 20 * MiB))
-    @example(run=boundary(None, 20 * MiB, 12 * MiB))
+    @example(run=tokens(0.5, None, (20 * MiB,)))
+    @example(run=tokens(None, 20 * MiB, (12 * MiB,)))
+    # The examples below reach every gate on their own (the generated
+    # ones change with the import set).  Four tensors leave the small
+    # pool for freed large segments and the GC fraction reclaims one
+    # mid-token; a stirring buffer follows.
+    @example(run=tokens(0.5, None, (800 * KiB,), capacity=300 * MiB,
+                        warm=((11 * MiB, True), (23 * MiB, True),
+                              (200 * KiB, True)),
+                        n_tensors=4, prefill=9 * MiB, stir=(64 * KiB,)))
+    # Two 20 MiB tensors swap segments with no dead bytes allowed.
+    @example(run=tokens(None, 0, (20 * MiB,), capacity=140 * MiB,
+                        n_tensors=2, prefill=20 * MiB))
+    # Six tensors growing to 10 MiB run out of a 61 MiB pool mid-token.
+    @example(run=tokens(None, None, (10 * MiB,), capacity=61 * MiB,
+                        warm=((11 * MiB, True), (7 * MiB, True),
+                              (256 * KiB, False)),
+                        n_tensors=6, prefill=3 * MiB))
     def check(run):
         logs.append(_check_tokens(run))
 
