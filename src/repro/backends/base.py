@@ -124,10 +124,7 @@ class RuntimeBackend:
         """
         return 0, 0
 
-    # -- validation + identity ----------------------------------------------
-    def validate_precision(self, precision: Precision) -> None:
-        """Raise :class:`~repro.errors.ConfigError` if unsupported."""
-
+    # -- identity ------------------------------------------------------------
     def config_payload(self) -> dict:
         """JSON-serialisable configuration for content addressing."""
         payload = {"name": self.name}

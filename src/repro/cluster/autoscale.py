@@ -122,9 +122,6 @@ class PowerModeAutoscaler:
     def rung_of(self, node: ClusterNode) -> int:
         return self._rung[node.node_id]
 
-    def mode_of(self, node: ClusterNode) -> str:
-        return self._modes[self.rung_of(node)].name
-
     def _set_rung(self, node: ClusterNode, rung: int, reason: str) -> None:
         mode = clamp_mode_to_device(self._modes[rung], node.device)
         # Route through the node, not apply_power_mode directly: the

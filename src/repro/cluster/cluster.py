@@ -113,8 +113,6 @@ class EdgeCluster:
         router: Router,
         env: Environment,
         slo: Optional[SLOSpec] = None,
-        max_retries: int = 2,
-        retry_backoff_s: float = 0.25,
         retry: Optional[RetryPolicy] = None,
         observer: Optional[Observer] = None,
         throttle: Optional[TokenThrottle] = None,
@@ -122,8 +120,6 @@ class EdgeCluster:
     ):
         if not nodes:
             raise ConfigError("cluster needs at least one node")
-        if max_retries < 0 or retry_backoff_s <= 0:
-            raise ConfigError("retries must be >= 0 with a positive backoff")
         self.nodes = list(nodes)
         self.router = router
         self.env = env
@@ -133,18 +129,12 @@ class EdgeCluster:
         #: Tenant weights the report's fairness columns normalize by.
         self.tenant_weights = dict(tenant_weights) if tenant_weights else None
         self.scheduler_name = self.nodes[0].scheduler.name
-        #: Multi-turn bookkeeping; ``run`` leaves both untouched.
-        self._session_hook = None
-        self._open_sessions = 0
-        #: The requests of the most recent ``run``/``run_interactions``
+        #: The requests of the most recent run, follow-ups included
         #: (conservation checks rebuild ledgers from these).
         self.last_requests: List[ClusterRequest] = []
-        #: Full policy; the legacy (max_retries, retry_backoff_s) pair
-        #: seeds one with an uncapped-at-that-base exponential schedule.
-        self.retry = retry or RetryPolicy(max_retries=max_retries,
-                                          base_backoff_s=retry_backoff_s)
-        self.max_retries = self.retry.max_retries
-        self.retry_backoff_s = self.retry.base_backoff_s
+        #: The current run's follow-up policy (see :meth:`_serve`).
+        self._follow_up: Optional[Callable[[ClusterRequest], None]] = None
+        self.retry = retry or RetryPolicy()
         self._retry_budget = RetryBudget(self.retry.retry_budget)
         #: start/stop-style controllers run alongside serving
         #: (autoscaler, fault injector, precision fallback, ...).
@@ -250,7 +240,9 @@ class EdgeCluster:
                 req=r.req_id, tenant=r.tenant,
                 input_tokens=r.input_tokens, output_tokens=r.output_tokens)
 
-    def _obs_reject(self, r: ClusterRequest, reason: str) -> None:
+    def _reject(self, r: ClusterRequest, reason: str) -> None:
+        """Turn ``r`` away for ``reason``; it leaves the system."""
+        r.rejected = True
         if self.obs.enabled:
             self.obs.instant(kinds.REJECT, cat=kinds.CAT_CLUSTER,
                              track=f"req{r.req_id}", parent=r.obs_span,
@@ -259,15 +251,14 @@ class EdgeCluster:
             r.obs_span = NO_SPAN
             self.obs.metrics.counter("requests_rejected_total",
                                      reason=reason).inc()
+        self._finish_request(r)
 
     def _transfer_then_decode(self, r: ClusterRequest):
         """Splitwise handover: wait out the link, enqueue on a decode node."""
         assert isinstance(self.router, SplitwiseRouter)
         node = self.router.choose_decode(r)
         if node is None:
-            self._obs_reject(r, "no_decode_node")
-            r.rejected = True
-            self._finish_request(r)
+            self._reject(r, "no_decode_node")
             return
         transfer_start = self.env.now
         yield self.env.timeout(self.router.transfer_seconds(r, node))
@@ -278,37 +269,59 @@ class EdgeCluster:
                 parent=r.obs_span, to_node=node.node_id,
                 kv_bytes=node.kv_bytes(r.input_tokens))
         if not node.submit(r):
-            self._obs_reject(r, "decode_refused")
-            r.rejected = True
-            self._finish_request(r)
+            self._reject(r, "decode_refused")
 
     def _finish_request(self, r: ClusterRequest) -> None:
         """One request left the system, completed or rejected."""
         self._finished += 1
-        if self._session_hook is not None:
-            self._session_hook(r)
+        if self._follow_up is not None:
+            self._follow_up(r)
         self._check_done()
 
     def _check_done(self) -> None:
-        if (self._finished >= self._n_injected
-                and self._open_sessions == 0
+        """Done: no source left open and every injected request out."""
+        if (self._open_sources == 0
+                and self._finished >= self._n_injected
                 and not self._done.triggered):
             self._done.succeed(None)
 
+    def _inject(self, r: ClusterRequest, process: str = "admit",
+                charge: bool = True) -> None:
+        """Put one request into the system now; ``charge`` bills the
+        tenant's throttle budget (arrivals and session turns are billed,
+        cascade twins are not)."""
+        self._n_injected += 1
+        self._obs_request_start(r)
+        if charge and not self._throttle_admit(r):
+            return
+        self.env.process(self._admit_with_retry(r),
+                         name=f"{process}-{r.req_id}")
+
+    def _stage(self, delay_s: float, inject: Callable[[], None],
+               name: str) -> None:
+        """Call ``inject`` after ``delay_s``; the wait is an open source."""
+        self._open_sources += 1
+
+        def stage():
+            yield self.env.timeout(max(0.0, delay_s))
+            self._open_sources -= 1
+            inject()
+
+        self.env.process(stage(), name=name)
+
     def _throttle_admit(self, r: ClusterRequest) -> bool:
-        """Charge the tenant's token budget; turn over-issued work away."""
+        """Charge the tenant's token budget; reject over-issued work."""
         if self.throttle is None:
             return True
         demand = r.input_tokens + r.output_tokens
         if self.throttle.admit(r.tenant, demand, self.env.now):
             return True
         r.throttled = True
-        r.rejected = True
         if self.obs.enabled:
             self.obs.instant(kinds.TENANT_THROTTLE, cat=kinds.CAT_CLUSTER,
                              track=f"req{r.req_id}", parent=r.obs_span,
                              tenant=r.tenant, demand_tokens=demand)
-        self._obs_reject(r, "throttle")
+        self._reject(r, "throttle")
         return False
 
     def _on_complete(self, r: ClusterRequest) -> None:
@@ -372,6 +385,55 @@ class EdgeCluster:
                 self.obs.counter(kinds.CARBON_G, round(total, 6),
                                  track=n.obs_track, time_s=b.time_s)
 
+    def _serve(self, arrivals: Sequence, make: Callable,
+               served: List[ClusterRequest],
+               follow_up: Optional[Callable[[ClusterRequest], None]] = None,
+               interactions: Optional[List[Interaction]] = None
+               ) -> ClusterReport:
+        """The one serving core behind every ``run*`` entry point.
+
+        The injector walks ``arrivals`` (in order, each with an
+        ``arrival_s``) and injects ``make(arrival)`` at its time;
+        ``follow_up(r)`` runs as each request leaves the system and may
+        inject or stage more work.  The injector and every staged wait
+        are open sources: the run ends once none is left and every
+        injected request has finished.  ``served`` is the list the
+        report and ``last_requests`` show (``make`` and ``follow_up``
+        append to it when they build requests); ``interactions`` go to
+        the report's session columns.
+        """
+        env = self.env
+        self._n_injected = 0
+        self._finished = 0
+        self._open_sources = 1
+        self._follow_up = follow_up
+        self._done = env.event()
+        self._retry_budget = RetryBudget(self.retry.retry_budget)
+
+        def injector():
+            for a in arrivals:
+                delay = a.arrival_s - env.now
+                if delay > 0:
+                    yield env.timeout(delay)
+                self._inject(make(a))
+            self._open_sources -= 1
+            self._check_done()
+
+        self._start_serving(injector)
+        env.run(until=self._done)
+        self._stop_serving()
+        self._follow_up = None
+        self.last_requests = served
+        return build_report(self.router.name, served, self.nodes, self.slo,
+                            makespan_s=env.now,
+                            scheduler=self.scheduler_name,
+                            interactions=interactions,
+                            tenant_weights=self.tenant_weights)
+
+    @staticmethod
+    def _by_arrival(reqs: Sequence[ClusterRequest]) -> List[ClusterRequest]:
+        return sorted(reqs, key=lambda x: (x.arrival_s, x.req_id))
+
     def run(self, requests: Sequence[ServeRequest]) -> ClusterReport:
         """Serve the trace to completion; returns the cluster report.
 
@@ -383,34 +445,7 @@ class EdgeCluster:
         if not requests:
             raise ExperimentError("empty request trace")
         reqs = as_cluster_requests(requests)
-        env = self.env
-        self._n_injected = len(reqs)
-        self._finished = 0
-        self._open_sessions = 0
-        self._session_hook = None
-        self._done = env.event()
-        self._retry_budget = RetryBudget(self.retry.retry_budget)
-
-        def injector():
-            for r in sorted(reqs, key=lambda x: (x.arrival_s, x.req_id)):
-                delay = r.arrival_s - env.now
-                if delay > 0:
-                    yield env.timeout(delay)
-                self._obs_request_start(r)
-                if not self._throttle_admit(r):
-                    self._finish_request(r)
-                    continue
-                env.process(self._admit_with_retry(r),
-                            name=f"admit-{r.req_id}")
-
-        self._start_serving(injector)
-        env.run(until=self._done)
-        self._stop_serving()
-        self.last_requests = reqs
-        return build_report(self.router.name, reqs, self.nodes, self.slo,
-                            makespan_s=env.now,
-                            scheduler=self.scheduler_name,
-                            tenant_weights=self.tenant_weights)
+        return self._serve(self._by_arrival(reqs), lambda r: r, reqs)
 
     def run_interactions(
             self, interactions: Sequence[Interaction]) -> ClusterReport:
@@ -434,65 +469,31 @@ class EdgeCluster:
         by_id = {i.interaction_id: i for i in inters}
         if len(by_id) != len(inters):
             raise ExperimentError("interaction ids must be unique")
-        env = self.env
         reqs: List[ClusterRequest] = []
-        self._n_injected = 0
-        self._finished = 0
-        self._open_sessions = len(inters)
-        self._done = env.event()
-        self._retry_budget = RetryBudget(self.retry.retry_budget)
         req_ids = itertools.count()
 
-        def inject_turn(inter: Interaction) -> None:
-            r = inter.next_request(next(req_ids), env.now)
+        def next_turn(inter: Interaction) -> ClusterRequest:
+            r = inter.next_request(next(req_ids), self.env.now)
             reqs.append(r)
-            self._n_injected += 1
-            self._obs_request_start(r)
-            if not self._throttle_admit(r):
-                self._finish_request(r)
-                return
-            env.process(self._admit_with_retry(r), name=f"admit-{r.req_id}")
+            return r
 
-        def stage_turn(inter: Interaction, think_s: float):
-            yield env.timeout(max(0.0, think_s))
-            inject_turn(inter)
-
-        def session_hook(r: ClusterRequest) -> None:
+        def follow_up(r: ClusterRequest) -> None:
             inter = by_id.get(r.interaction_id)
             if inter is None:
                 return
             if r.rejected:
                 inter.mark_abandoned()
-                self._open_sessions -= 1
                 return
             nxt = inter.peek_turn()
-            if nxt is None:
-                self._open_sessions -= 1
-                return
-            env.process(stage_turn(inter, nxt.think_time_s),
-                        name=f"stage-{inter.interaction_id}-{inter.next_turn}")
+            if nxt is not None:
+                self._stage(nxt.think_time_s,
+                            lambda: self._inject(next_turn(inter)),
+                            name=f"stage-{inter.interaction_id}-"
+                                 f"{inter.next_turn}")
 
-        self._session_hook = session_hook
-
-        def injector():
-            order = sorted(inters, key=lambda i: (i.arrival_s,
-                                                  i.interaction_id))
-            for inter in order:
-                delay = inter.arrival_s - env.now
-                if delay > 0:
-                    yield env.timeout(delay)
-                inject_turn(inter)
-
-        self._start_serving(injector)
-        env.run(until=self._done)
-        self._stop_serving()
-        self._session_hook = None
-        self.last_requests = reqs
-        return build_report(self.router.name, reqs, self.nodes, self.slo,
-                            makespan_s=env.now,
-                            scheduler=self.scheduler_name,
-                            interactions=inters,
-                            tenant_weights=self.tenant_weights)
+        order = sorted(inters, key=lambda i: (i.arrival_s, i.interaction_id))
+        return self._serve(order, next_turn, reqs, follow_up,
+                           interactions=inters)
 
     def run_cascade(
         self,
@@ -517,61 +518,30 @@ class EdgeCluster:
         reqs = as_cluster_requests(requests)
         for r in reqs:
             r.tier = slm_tier
-        env = self.env
-        all_reqs: List[ClusterRequest] = list(reqs)
-        self._n_injected = len(reqs)
-        self._finished = 0
-        self._open_sessions = 0
-        self._done = env.event()
-        self._retry_budget = RetryBudget(self.retry.retry_budget)
+        order = self._by_arrival(reqs)
         req_ids = itertools.count(1 + max(r.req_id for r in reqs))
 
-        def cascade_hook(r: ClusterRequest) -> None:
+        def follow_up(r: ClusterRequest) -> None:
             if r.tier != slm_tier or r.rejected or r.finish_s is None:
                 return
             if not escalate(r):
                 return
             r.escalated = True
             twin = ClusterRequest(
-                req_id=next(req_ids), arrival_s=env.now,
+                req_id=next(req_ids), arrival_s=self.env.now,
                 input_tokens=r.input_tokens, output_tokens=r.output_tokens,
                 prompt_ids=r.prompt_ids, tenant=r.tenant,
                 tier=llm_tier, escalated_from=r.req_id)
-            all_reqs.append(twin)
-            self._n_injected += 1
+            reqs.append(twin)
             if self.obs.enabled:
                 self.obs.instant(
                     kinds.CASCADE_ESCALATE, cat=kinds.CAT_CLUSTER,
                     track=f"req{r.req_id}", parent=r.obs_span,
                     slm_tokens=r.generated, twin=twin.req_id)
                 self.obs.metrics.counter("cascade_escalations_total").inc()
-            self._obs_request_start(twin)
-            env.process(self._admit_with_retry(twin),
-                        name=f"escalate-{twin.req_id}")
+            self._inject(twin, "escalate", charge=False)
 
-        self._session_hook = cascade_hook
-
-        def injector():
-            for r in sorted(reqs, key=lambda x: (x.arrival_s, x.req_id)):
-                delay = r.arrival_s - env.now
-                if delay > 0:
-                    yield env.timeout(delay)
-                self._obs_request_start(r)
-                if not self._throttle_admit(r):
-                    self._finish_request(r)
-                    continue
-                env.process(self._admit_with_retry(r),
-                            name=f"admit-{r.req_id}")
-
-        self._start_serving(injector)
-        env.run(until=self._done)
-        self._stop_serving()
-        self._session_hook = None
-        self.last_requests = all_reqs
-        return build_report(self.router.name, all_reqs, self.nodes, self.slo,
-                            makespan_s=env.now,
-                            scheduler=self.scheduler_name,
-                            tenant_weights=self.tenant_weights)
+        return self._serve(order, lambda r: r, reqs, follow_up)
 
     def _requeue_orphans(self, orphans: List[ClusterRequest]) -> None:
         """Crash handler: re-place the dead node's outstanding work.
@@ -583,9 +553,7 @@ class EdgeCluster:
         """
         for r in orphans:
             if r.requeues >= self.retry.max_requeues:
-                self._obs_reject(r, "requeue_cap")
-                r.rejected = True
-                self._finish_request(r)
+                self._reject(r, "requeue_cap")
                 continue
             r.requeues += 1
             r.node_id = None
@@ -613,9 +581,7 @@ class EdgeCluster:
             if not self._retry_budget.take():
                 break
             yield self.env.timeout(self.retry.delay_s(attempt))
-        self._obs_reject(r, "admission")
-        r.rejected = True
-        self._finish_request(r)
+        self._reject(r, "admission")
         # Generator must stay a generator even on the no-backoff path.
         if False:  # pragma: no cover
             yield

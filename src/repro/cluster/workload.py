@@ -273,34 +273,6 @@ class TenantProfile:
         if not 1 <= self.min_tokens <= self.max_tokens:
             raise WorkloadError(f"tenant {self.name!r} has an empty length range")
 
-    @classmethod
-    def from_dataset(
-        cls,
-        name: str,
-        dataset: str,
-        weight: float = 1.0,
-        mean_output_tokens: float = 64.0,
-        seed: int = 0,
-    ) -> "TenantProfile":
-        """Estimate the prompt-length profile from a repro.datasets pool.
-
-        Builds the named workload (``"wikitext2"`` or ``"longbench"``)
-        and fits the lognormal input profile to its pooled prompt
-        lengths — an offline stand-in for "replay this dataset's
-        prompts".
-        """
-        from repro.datasets import build_workload
-
-        pool = build_workload(dataset, seed=seed).pool
-        lengths = np.array([p.n_tokens for p in pool.prompts], dtype=float)
-        mean = float(lengths.mean())
-        cv = float(lengths.std() / mean) if mean > 0 else 0.0
-        return cls(name=name, weight=weight,
-                   mean_input_tokens=mean,
-                   mean_output_tokens=mean_output_tokens,
-                   cv_input=cv,
-                   max_tokens=int(lengths.max() * 2))
-
     def _draw(self, rng: np.random.Generator, mean: float, cv: float) -> int:
         if cv <= 0:
             n = mean

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -123,12 +122,6 @@ def _build_plan(
     return plan
 
 
-#: run_full_study kwargs that configure *what* runs (StudySpec fields,
-#: plus the legacy spelling ``models`` as a list).
-_STUDY_SPEC_KEYS = ("models", "n_runs", "include_power_energy",
-                    "fast_forward", "runtime")
-
-
 def run_full_study(
     spec: Optional[StudySpec] = None,
     params: Optional[EngineCostParams] = None,
@@ -136,7 +129,6 @@ def run_full_study(
     jobs: Optional[int] = None,
     cache=None,
     observer=None,
-    **legacy,
 ) -> FullStudyResults:
     """Reproduce every experiment of the paper on the simulated board.
 
@@ -151,26 +143,7 @@ def run_full_study(
     ``observer`` (:class:`repro.obs.Observer`) collects spans for every
     configuration — and forces the serial, uncached path, since neither
     a worker process nor a cache hit can produce span records.
-
-    The pre-spec keyword form (``run_full_study(models=[...], n_runs=1)``)
-    still works but emits a :class:`DeprecationWarning`.
     """
-    if legacy:
-        unknown = set(legacy) - set(_STUDY_SPEC_KEYS)
-        if unknown:
-            raise TypeError(
-                f"run_full_study() got unexpected keyword arguments "
-                f"{sorted(unknown)}")
-        if spec is not None:
-            raise ExperimentError(
-                "run_full_study: pass either a StudySpec or legacy "
-                "keyword arguments, not both")
-        warnings.warn(
-            "run_full_study(models=..., n_runs=...) keywords are "
-            "deprecated; pass a StudySpec (StudySpec.of(models, ...))",
-            DeprecationWarning, stacklevel=2,
-        )
-        spec = StudySpec.of(**legacy)
     if spec is None:
         spec = StudySpec()
     models = list(spec.models) if spec.models is not None else list(PAPER_MODELS)

@@ -14,20 +14,17 @@ point is a :func:`dataclasses.replace` of it along the sweep's axis::
     spec = ExperimentSpec.for_model("llama", n_runs=3)
     runs = batch_size_sweep(spec, batch_sizes=(1, 32, 64))
 
-Passing a bare model name with configuration kwargs (the pre-spec API,
-``batch_size_sweep("llama", n_runs=3)``) still works but emits a
-:class:`DeprecationWarning` pointing at ``ExperimentSpec.for_model``.
+A bare model name is refused with a :class:`TypeError` that points at
+``ExperimentSpec.for_model``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.calibration import paperdata
-from repro.core.experiment import (ExperimentSpec, default_precision_for,
-                                   run_experiment)
+from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.engine.kernels import EngineCostParams
 from repro.engine.request import GenerationSpec
 from repro.engine.runtime import RunResult
@@ -36,8 +33,6 @@ from repro.quant.dtypes import PRECISION_ORDER, Precision
 
 #: The paper's default generation split: sl=96 as 32 input + 64 output.
 DEFAULT_GEN = GenerationSpec(32, 64)
-
-SpecOrModel = Union[ExperimentSpec, str]
 
 
 def _gen_for_seqlen(seq_len: int) -> GenerationSpec:
@@ -49,30 +44,13 @@ def _gen_for_seqlen(seq_len: int) -> GenerationSpec:
     return GenerationSpec(*split)
 
 
-def _base_spec(spec: SpecOrModel, caller: str, legacy: dict) -> ExperimentSpec:
-    """Coerce the first sweep argument to an ExperimentSpec template.
-
-    Spec-first calls pass configuration *on the spec*; mixing a spec
-    with legacy configuration kwargs is ambiguous and refused.  A bare
-    model name takes the old kwargs but is deprecated.
-    """
-    if isinstance(spec, ExperimentSpec):
-        if legacy:
-            raise ExperimentError(
-                f"{caller}: configuration goes on the ExperimentSpec "
-                f"(dataclasses.replace), not keyword arguments "
-                f"{sorted(legacy)}"
-            )
-        return spec
-    warnings.warn(
-        f"{caller}({spec!r}, ...) with a model name is deprecated; pass "
-        f"an ExperimentSpec (ExperimentSpec.for_model({spec!r}, ...))",
-        DeprecationWarning, stacklevel=3,
-    )
-    precision = legacy.pop("precision", None)
-    if precision is None:
-        precision = default_precision_for(spec)
-    return ExperimentSpec(model=spec, precision=precision, **legacy)
+def _base_spec(spec: ExperimentSpec, caller: str) -> ExperimentSpec:
+    """The sweep's template; configuration goes on the spec."""
+    if not isinstance(spec, ExperimentSpec):
+        raise TypeError(
+            f"{caller} takes an ExperimentSpec, not {spec!r}; build one "
+            f"with ExperimentSpec.for_model({spec!r}, ...)")
+    return spec
 
 
 def _run_all(specs: Sequence[ExperimentSpec],
@@ -85,87 +63,73 @@ def _run_all(specs: Sequence[ExperimentSpec],
 # -- §3.1: batch size ---------------------------------------------------------
 
 def batch_size_sweep_specs(
-    spec: SpecOrModel,
+    spec: ExperimentSpec,
     batch_sizes: Sequence[int] = paperdata.BATCH_SIZES,
-    **legacy,
 ) -> List[ExperimentSpec]:
     """The spec grid of :func:`batch_size_sweep`, in sweep order."""
-    base = _base_spec(spec, "batch_size_sweep_specs", legacy)
+    base = _base_spec(spec, "batch_size_sweep_specs")
     return [replace(base, batch_size=bs) for bs in batch_sizes]
 
 
 def batch_size_sweep(
-    spec: SpecOrModel,
+    spec: ExperimentSpec,
     batch_sizes: Sequence[int] = paperdata.BATCH_SIZES,
     params: Optional[EngineCostParams] = None,
     cache=None,
     observer=None,
-    **legacy,
 ) -> List[RunResult]:
     """§3.1 / Fig 1/6/7, Tables 4-5: vary batch size at sl=96, MAXN."""
-    specs = batch_size_sweep_specs(spec, batch_sizes, **legacy)
+    specs = batch_size_sweep_specs(spec, batch_sizes)
     return _run_all(specs, params, cache, observer)
 
 
 # -- §3.2: sequence length ----------------------------------------------------
 
 def seq_len_sweep_specs(
-    spec: SpecOrModel,
+    spec: ExperimentSpec,
     seq_lengths: Sequence[int] = paperdata.SEQ_LENGTHS,
-    **legacy,
 ) -> List[ExperimentSpec]:
     """The spec grid of :func:`seq_len_sweep`, in sweep order.
 
     Each point replaces the generation split for its sequence length;
-    the template's batch size (paper default 32) is kept.  The legacy
-    model-name form defaults to the longbench workload, as the paper's
-    §3.2 did.
+    the template's batch size (paper default 32) is kept.
     """
-    if not isinstance(spec, ExperimentSpec):
-        legacy.setdefault("workload", "longbench")
-    base = _base_spec(spec, "seq_len_sweep_specs", legacy)
+    base = _base_spec(spec, "seq_len_sweep_specs")
     return [replace(base, gen=_gen_for_seqlen(sl)) for sl in seq_lengths]
 
 
 def seq_len_sweep(
-    spec: SpecOrModel,
+    spec: ExperimentSpec,
     seq_lengths: Sequence[int] = paperdata.SEQ_LENGTHS,
     params: Optional[EngineCostParams] = None,
     cache=None,
     observer=None,
-    **legacy,
 ) -> List[RunResult]:
     """§3.2 / Fig 2/8/9, Tables 6-7: vary sequence length at bs=32."""
-    specs = seq_len_sweep_specs(spec, seq_lengths, **legacy)
+    specs = seq_len_sweep_specs(spec, seq_lengths)
     return _run_all(specs, params, cache, observer)
 
 
 # -- §3.3: quantization -------------------------------------------------------
 
 def quantization_sweep_specs(
-    spec: SpecOrModel,
+    spec: ExperimentSpec,
     precisions: Iterable[Precision] = PRECISION_ORDER,
-    **legacy,
 ) -> List[ExperimentSpec]:
     """The spec grid of :func:`quantization_sweep`, in sweep order."""
-    if not isinstance(spec, ExperimentSpec):
-        # Precision is the swept axis; the template value is irrelevant,
-        # so the legacy path needs no per-model default lookup.
-        legacy.setdefault("precision", Precision.FP16)
-    base = _base_spec(spec, "quantization_sweep_specs", legacy)
+    base = _base_spec(spec, "quantization_sweep_specs")
     return [replace(base, precision=prec) for prec in precisions]
 
 
 def quantization_sweep(
-    spec: SpecOrModel,
+    spec: ExperimentSpec,
     precisions: Iterable[Precision] = PRECISION_ORDER,
     params: Optional[EngineCostParams] = None,
     cache=None,
     observer=None,
-    **legacy,
 ) -> List[RunResult]:
     """§3.3 / Fig 3/11: FP32->INT4 at bs=32, sl=96 (OOM cells included)."""
-    specs = quantization_sweep_specs(spec, precisions, **legacy)
+    specs = quantization_sweep_specs(spec, precisions)
     return _run_all(specs, params, cache, observer)
 
 
@@ -176,41 +140,38 @@ POWER_MODES = ("MAXN", "A", "B", "C", "D", "E", "F", "G", "H")
 # -- §3.4: power modes --------------------------------------------------------
 
 def power_mode_sweep_specs(
-    spec: SpecOrModel,
+    spec: ExperimentSpec,
     modes: Sequence[str] = POWER_MODES,
-    **legacy,
 ) -> List[ExperimentSpec]:
     """The spec grid of :func:`power_mode_sweep`, in sweep order."""
-    base = _base_spec(spec, "power_mode_sweep_specs", legacy)
+    base = _base_spec(spec, "power_mode_sweep_specs")
     return [replace(base, power_mode=mode) for mode in modes]
 
 
 def power_mode_sweep(
-    spec: SpecOrModel,
+    spec: ExperimentSpec,
     modes: Sequence[str] = POWER_MODES,
     params: Optional[EngineCostParams] = None,
     cache=None,
     observer=None,
-    **legacy,
 ) -> List[RunResult]:
     """§3.4 / Fig 5: the nine power modes at bs=32, sl=96."""
-    specs = power_mode_sweep_specs(spec, modes, **legacy)
+    specs = power_mode_sweep_specs(spec, modes)
     return _run_all(specs, params, cache, observer)
 
 
 # -- extension: runtime backends ----------------------------------------------
 
 def runtime_sweep_specs(
-    spec: SpecOrModel,
+    spec: ExperimentSpec,
     runtimes: Optional[Sequence[str]] = None,
-    **legacy,
 ) -> List[ExperimentSpec]:
     """The spec grid of :func:`runtime_sweep`, in registry order."""
     if runtimes is None:
         from repro.backends import list_backends
 
         runtimes = list_backends()
-    base = _base_spec(spec, "runtime_sweep_specs", legacy)
+    base = _base_spec(spec, "runtime_sweep_specs")
     # Non-hf runtimes fix their own KV policy; drop a template kv_mode
     # ablation rather than refusing the whole sweep.
     return [replace(base, runtime=rt,
@@ -220,12 +181,11 @@ def runtime_sweep_specs(
 
 
 def runtime_sweep(
-    spec: SpecOrModel,
+    spec: ExperimentSpec,
     runtimes: Optional[Sequence[str]] = None,
     params: Optional[EngineCostParams] = None,
     cache=None,
     observer=None,
-    **legacy,
 ) -> List[RunResult]:
     """Cross-backend comparison: one fixed configuration per runtime.
 
@@ -234,23 +194,20 @@ def runtime_sweep(
     it.  Pair with :func:`repro.reporting.runtime_comparison` for the
     tok/s / TTFT / energy-per-token table.
     """
-    specs = runtime_sweep_specs(spec, runtimes, **legacy)
+    specs = runtime_sweep_specs(spec, runtimes)
     return _run_all(specs, params, cache, observer)
 
 
 # -- §3.3: power/energy across batch sizes ------------------------------------
 
 def batch_quant_power_sweep_specs(
-    spec: SpecOrModel,
+    spec: ExperimentSpec,
     precisions: Iterable[Precision] = (Precision.FP16, Precision.INT8,
                                        Precision.INT4),
     batch_sizes: Sequence[int] = paperdata.BATCH_SIZES,
-    **legacy,
 ) -> Dict[Precision, List[ExperimentSpec]]:
     """The spec grid of :func:`batch_quant_power_sweep`, in sweep order."""
-    if not isinstance(spec, ExperimentSpec):
-        legacy.setdefault("precision", Precision.FP16)
-    base = _base_spec(spec, "batch_quant_power_sweep_specs", legacy)
+    base = _base_spec(spec, "batch_quant_power_sweep_specs")
     return {
         prec: [replace(base, precision=prec, batch_size=bs)
                for bs in batch_sizes]
@@ -259,17 +216,15 @@ def batch_quant_power_sweep_specs(
 
 
 def batch_quant_power_sweep(
-    spec: SpecOrModel,
+    spec: ExperimentSpec,
     precisions: Iterable[Precision] = (Precision.FP16, Precision.INT8,
                                        Precision.INT4),
     batch_sizes: Sequence[int] = paperdata.BATCH_SIZES,
     params: Optional[EngineCostParams] = None,
     cache=None,
     observer=None,
-    **legacy,
 ) -> Dict[Precision, List[RunResult]]:
     """§3.3 / Fig 4/10: power & energy across batch sizes per precision."""
-    grid = batch_quant_power_sweep_specs(spec, precisions, batch_sizes,
-                                         **legacy)
+    grid = batch_quant_power_sweep_specs(spec, precisions, batch_sizes)
     return {prec: _run_all(specs, params, cache, observer)
             for prec, specs in grid.items()}

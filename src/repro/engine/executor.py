@@ -25,7 +25,6 @@ from repro.obs import kinds
 from repro.obs.span import NULL_OBSERVER, Observer
 from repro.power.model import ComponentUtilization
 from repro.sim.environment import Environment
-from repro.sim.tracing import Trace
 
 
 def _util_of(cost) -> ComponentUtilization:
@@ -127,7 +126,6 @@ class BatchExecutor:
         env: Environment,
         request: BatchRequest,
         state: EngineState,
-        trace: Optional[Trace] = None,
         obs: Observer = NULL_OBSERVER,
         track: str = "engine",
     ):
@@ -152,7 +150,7 @@ class BatchExecutor:
             # resolve it (memoized) and apply the end state up front, then
             # emit the exact same events/timestamps the loop below would.
             return (yield from self._run_trajectory(
-                env, request, state, result, start, trace, obs, track))
+                env, request, state, result, start, obs, track))
 
         held: List[Allocation] = []
         kv = None
@@ -180,9 +178,6 @@ class BatchExecutor:
                 obs.complete(kinds.PREFILL, prefill_start, env.now,
                              cat=kinds.CAT_ENGINE, track=track, batch=bs,
                              tokens=gen.input_tokens)
-            if trace is not None:
-                trace.record(env.now, kinds.PREFILL,
-                             seconds=cost.seconds, batch=bs)
 
             # ---- decode ----
             if self.fast_forward:
@@ -294,8 +289,8 @@ class BatchExecutor:
             and self.kv_mode in ("dynamic", "static")
         )
 
-    def _run_trajectory(self, env, request, state, result, start, trace,
-                        obs, track):
+    def _run_trajectory(self, env, request, state, result, start, obs,
+                        track):
         """Fast-forward one batch via a memoized allocator trajectory.
 
         Identical observables to the generic loop in :meth:`run`: the
@@ -351,9 +346,6 @@ class BatchExecutor:
                 obs.complete(kinds.PREFILL, prefill_start, env.now,
                              cat=kinds.CAT_ENGINE, track=track, batch=bs,
                              tokens=gen.input_tokens)
-            if trace is not None:
-                trace.record(env.now, kinds.PREFILL,
-                             seconds=cost.seconds, batch=bs)
 
             # ---- decode ----
             n_timed = delta.oom[1] if delta.oom is not None else n_out

@@ -20,7 +20,6 @@ median of the 2-second samples and energy the trapezoidal integral.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -38,7 +37,6 @@ from repro.power.model import PowerModel
 from repro.power.modes import PowerMode, apply_power_mode
 from repro.quant.dtypes import Precision
 from repro.sim.environment import Environment
-from repro.sim.tracing import Trace
 from repro.telemetry.energy import median_power_w, trapezoid_energy_j
 from repro.telemetry.sampler import PowerSampler
 
@@ -114,7 +112,6 @@ class ServingEngine:
         arch: TransformerArchitecture,
         precision: Precision,
         params: Optional[EngineCostParams] = None,
-        kv_mode: Optional[str] = None,
         power_model: Optional[PowerModel] = None,
         sample_period_s: float = 2.0,
         fast_forward: bool = True,
@@ -127,27 +124,11 @@ class ServingEngine:
         from repro.backends.base import resolve_backend
         from repro.calibration.constants import CALIBRATED_COST_PARAMS
 
-        if kv_mode is not None:
-            warnings.warn(
-                "ServingEngine(kv_mode=...) is deprecated; the KV policy "
-                "is a runtime-backend concern — pass "
-                "backend=get_backend('hf-transformers', kv_mode=...) "
-                "instead",
-                DeprecationWarning, stacklevel=2)
-            if backend is not None:
-                raise ExperimentError(
-                    "pass either backend= or the deprecated kv_mode= "
-                    "keyword, not both")
-            from repro.backends.registry import get_backend
-
-            backend = get_backend("hf-transformers", kv_mode=kv_mode)
         self.backend = resolve_backend(backend)
         self.device = device
         self.arch = arch
         self.precision = precision
         self.params = params or CALIBRATED_COST_PARAMS
-        #: Back-compat view; only meaningful for the hf backend.
-        self.kv_mode = getattr(self.backend, "kv_mode", None)
         self.power_model = power_model or PowerModel()
         self.sample_period_s = sample_period_s
         self.fast_forward = fast_forward
@@ -164,9 +145,6 @@ class ServingEngine:
         self.tracker = MemoryTracker(self.allocator)
         #: Observability sink: spans/metrics land here when enabled.
         self.obs = observer if observer is not None else NULL_OBSERVER
-        #: Legacy kind-filtered view; shares the observer when tracing
-        #: is on so span records surface through the old API too.
-        self.trace = Trace(self.obs if self.obs.enabled else None)
         self.timer = self.backend.make_timer(arch, device, precision,
                                              self.params)
 

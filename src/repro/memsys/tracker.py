@@ -8,19 +8,10 @@ plus any non-allocator usage (OS, frameworks).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigError
 from repro.memsys.allocator import CachingAllocator
-
-
-@dataclass
-class MemorySnapshot:
-    """One point-in-time memory reading, in bytes."""
-
-    used: int
-    reserved: int
 
 
 class MemoryTracker:

@@ -79,8 +79,6 @@ CAT_CLUSTER = "cluster"
 CAT_REQUEST = "request"
 CAT_FAULT = "fault"
 CAT_POWER = "power"
-#: Records produced through the deprecated ``Trace.record`` shim.
-CAT_LEGACY = "legacy"
 
 
 def fault_kind(fault_class: str) -> str:

@@ -49,10 +49,6 @@ class GGMLQuantType:
     def bits_per_weight(self) -> float:
         return 8.0 * self.block_bytes / self.block_weights
 
-    @property
-    def bytes_per_weight(self) -> float:
-        return self.block_bytes / self.block_weights
-
     def tensor_bytes(self, n_weights: int) -> int:
         """Storage for ``n_weights`` values (block-rounded, as on disk)."""
         n_blocks = -(-n_weights // self.block_weights)

@@ -9,8 +9,6 @@ A small, deterministic, generator-based DES in the style of SimPy:
   with :meth:`Environment.process`.
 - :class:`~repro.sim.resources.Resource` and
   :class:`~repro.sim.resources.Store` provide contention and queueing.
-- :class:`~repro.sim.tracing.Trace` records timestamped events for
-  post-hoc analysis (telemetry, Gantt-style debugging).
 
 The engine is used by :mod:`repro.engine` to run the simulated inference
 server and by :mod:`repro.telemetry` for the jtop-style power sampler.
@@ -19,7 +17,6 @@ server and by :mod:`repro.telemetry` for the jtop-style power sampler.
 from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
 from repro.sim.environment import Environment, Process
 from repro.sim.resources import Resource, Store
-from repro.sim.tracing import Trace, TraceRecord
 
 __all__ = [
     "AllOf",
@@ -31,6 +28,4 @@ __all__ = [
     "Resource",
     "Store",
     "Timeout",
-    "Trace",
-    "TraceRecord",
 ]

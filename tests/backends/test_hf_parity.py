@@ -171,7 +171,7 @@ class TestSpecPathParity:
         engine = ServingEngine(get_device("jetson-orin-agx-64gb"),
                                get_model("phi2"), Precision.FP16)
         assert engine.backend.name == "hf-transformers"
-        assert engine.kv_mode == "dynamic"
+        assert engine.backend.kv_mode == "dynamic"
 
     def test_observed_spans_match_across_paths(self):
         from repro.obs import Observer

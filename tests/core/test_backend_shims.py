@@ -1,23 +1,19 @@
 """Back-compat shims for the runtime-backend axis.
 
 Specs and results pickled before ``runtime`` existed must load with the
-hf default; the engine's old ``kv_mode=`` keyword must keep working
-under a :class:`DeprecationWarning`; and the spec surface must refuse
-ambiguous combinations with typed errors.
+hf default, and the spec surface must refuse ambiguous combinations
+with typed errors.
 """
 
 import pickle
 
 import pytest
 
-from repro.backends import get_backend
 from repro.core import ExperimentSpec, StudySpec, spec_fingerprint
 from repro.core.sweeps import runtime_sweep_specs
 from repro.engine.kernels import EngineCostParams
-from repro.engine.runtime import RunResult, ServingEngine
+from repro.engine.runtime import RunResult
 from repro.errors import ConfigError, ExperimentError
-from repro.hardware import get_device
-from repro.models import get_model
 from repro.quant.dtypes import Precision
 
 
@@ -82,32 +78,6 @@ class TestOldPicklesLoadCleanly:
         assert pickle.loads(pickle.dumps(spec)).runtime == "gguf"
 
 
-class TestEngineKvModeShim:
-    def _engine(self, **kwargs):
-        return ServingEngine(get_device("jetson-orin-agx-64gb"),
-                             get_model("phi2"), Precision.FP16, **kwargs)
-
-    def test_kv_mode_keyword_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="runtime-backend"):
-            engine = self._engine(kv_mode="static")
-        assert engine.backend.name == "hf-transformers"
-        assert engine.backend.kv_mode == "static"
-        assert engine.kv_mode == "static"
-
-    def test_kv_mode_plus_backend_is_refused(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ExperimentError, match="not both"):
-                self._engine(kv_mode="static",
-                             backend=get_backend("hf-transformers"))
-
-    def test_backend_keyword_is_warning_free(self, recwarn):
-        engine = self._engine(backend="gguf")
-        assert engine.backend.name == "gguf"
-        assert engine.kv_mode is None  # not an hf engine
-        assert not [w for w in recwarn.list
-                    if issubclass(w.category, DeprecationWarning)]
-
-
 class TestCacheKeyCoversTheRuntime:
     def test_fingerprint_differs_per_runtime(self):
         params = EngineCostParams()
@@ -137,7 +107,3 @@ class TestRuntimeSweepSpecs:
                                                     "paged"))
         assert specs[0].kv_mode == "static"
         assert specs[1].kv_mode == "dynamic"
-
-    def test_spec_plus_legacy_kwargs_is_refused(self):
-        with pytest.raises(ExperimentError, match="ExperimentSpec"):
-            runtime_sweep_specs(ExperimentSpec.for_model("phi2"), n_runs=3)

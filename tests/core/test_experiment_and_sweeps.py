@@ -101,8 +101,3 @@ class TestSweeps:
         spec = ExperimentSpec.for_model("phi2", workload="longbench", n_runs=1)
         with pytest.raises(ExperimentError):
             seq_len_sweep(spec, seq_lengths=(100,))
-
-    def test_sweeps_reject_spec_plus_legacy_kwargs(self):
-        spec = ExperimentSpec.for_model("phi2", n_runs=1)
-        with pytest.raises(ExperimentError):
-            batch_size_sweep(spec, n_runs=2)

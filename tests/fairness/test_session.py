@@ -125,3 +125,24 @@ class TestWeightNormalisation:
         inters = session_workload(2.0, 5, tenants=tenants, seed=0)
         assert {r.tenant for r in reqs} == {"only"}
         assert {i.tenant for i in inters} == {"only"}
+
+
+class TestServedSession:
+    def test_lone_session_serves_every_turn_after_its_think_time(self):
+        """Nothing else is in flight while the user thinks: the run must
+        wait for the staged turn instead of ending."""
+        from repro.cluster import EdgeCluster, FleetSpec
+
+        fleet = FleetSpec.of(["jetson-orin-agx-64gb"], model="phi2",
+                             precision="int8")
+        inter = Interaction(0, "a", 1.0, [turn(cum=8), turn(cum=20),
+                                          turn(think=3.0, cum=32)])
+        cluster = EdgeCluster.of(fleet)
+        report = cluster.run_interactions([inter])
+        reqs = cluster.last_requests
+        assert [r.turn for r in reqs] == [0, 1, 2]
+        assert all(r.finish_s is not None for r in reqs)
+        for prev, nxt, think in zip(reqs, reqs[1:], (1.0, 3.0)):
+            assert nxt.arrival_s == prev.finish_s + think
+        assert (report.interactions, report.abandoned_interactions) == (1, 0)
+        assert inter.completed

@@ -1,9 +1,9 @@
-"""DES resources, stores and trace buffers."""
+"""DES resources and stores."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Environment, Resource, Store, Trace
+from repro.sim import Environment, Resource, Store
 
 
 def test_resource_grants_up_to_capacity_then_queues():
@@ -137,14 +137,3 @@ def test_bounded_store_blocks_putter():
     assert ("put-x", 0.0) in log
     assert ("put-y", 3.0) in log  # unblocked when consumer drains
 
-
-def test_trace_filtering_and_order():
-    tr = Trace()
-    tr.record(0.0, "a", v=1)
-    tr.record(1.0, "b", v=2)
-    tr.record(2.0, "a", v=3)
-    assert len(tr) == 3
-    assert [r.data["v"] for r in tr.by_kind("a")] == [1, 3]
-    assert tr.kinds() == ["a", "b"]
-    tr.clear()
-    assert len(tr) == 0
