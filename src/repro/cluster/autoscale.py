@@ -17,7 +17,7 @@ move with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.node import ClusterNode
@@ -119,9 +119,6 @@ class PowerModeAutoscaler:
             self._set_rung(node, start, reason="initial")
 
     # -- actions -----------------------------------------------------------
-    def rung_of(self, node: ClusterNode) -> int:
-        return self._rung[node.node_id]
-
     def _set_rung(self, node: ClusterNode, rung: int, reason: str) -> None:
         mode = clamp_mode_to_device(self._modes[rung], node.device)
         # Route through the node, not apply_power_mode directly: the

@@ -78,7 +78,6 @@ CAT_ENGINE = "engine"
 CAT_CLUSTER = "cluster"
 CAT_REQUEST = "request"
 CAT_FAULT = "fault"
-CAT_POWER = "power"
 
 
 def fault_kind(fault_class: str) -> str:

@@ -136,4 +136,3 @@ def test_bounded_store_blocks_putter():
     env.run()
     assert ("put-x", 0.0) in log
     assert ("put-y", 3.0) in log  # unblocked when consumer drains
-
