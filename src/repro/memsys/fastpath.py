@@ -34,6 +34,13 @@ that:
   times — and study sweeps repeat (model, precision, batch, length)
   combinations across power modes — almost every batch after the first
   is a cache hit applied in O(segments) instead of O(tokens * layers).
+- A miss also records the entry for the state its batch leaves behind
+  (:meth:`AllocatorMirror.follow_on`), so the same batch run again from
+  there is a hit, not a second replay.  It does so only when the batch
+  reclaimed nothing and no block it took would have lost to a segment
+  it created later (the mirror tracks such takes as a union of size
+  intervals); then the rerun draws each segment from those the first
+  run left and changes nothing.
 
 A batch's stream is *net-zero*: everything it allocates, it frees.  Two
 structural invariants make the delta exact: the allocator never mutates
@@ -51,9 +58,9 @@ allocator in ``tests/memsys/test_fastpath.py`` and end-to-end in
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
@@ -169,6 +176,11 @@ def apply_delta(allocator: CachingAllocator, delta: TrajectoryDelta) -> None:
     allocator._dead_bytes = delta.dead_bytes_end
 
 
+def _large_segment(rounded: int) -> int:
+    """Size of the large-pool segment a ``rounded``-byte request opens."""
+    return max(LARGE_SEGMENT_MIN, _round_up(rounded, LARGE_ROUND))
+
+
 class _MirrorSegment:
     """Interval view of one segment: free spans by start/end offset plus
     used spans by offset (used only to reconstruct fingerprints and to
@@ -212,7 +224,7 @@ class AllocatorMirror:
                  "peak_allocated", "peak_reserved",
                  "n_allocs", "n_segment_allocs", "n_reclaims",
                  "n_oom_retries", "pools", "index", "floor", "_seq",
-                 "_n_orig")
+                 "_n_orig", "taken_lo", "taken_hi", "overtaken")
 
     def __init__(self, allocator: CachingAllocator):
         self.capacity = allocator.capacity
@@ -232,6 +244,13 @@ class AllocatorMirror:
         self.pools: Dict[str, List[_MirrorSegment]] = {p: [] for p in _POOLS}
         self.index: Dict[str, list] = {p: [] for p in _POOLS}
         self.floor = 0
+        #: Sorted disjoint ``[lo, hi)`` intervals: the large segment sizes
+        #: that would have beaten a block already taken (see
+        #: :meth:`_note_take`); ``overtaken`` is set once a new segment's
+        #: size falls in one.
+        self.taken_lo: List[int] = []
+        self.taken_hi: List[int] = []
+        self.overtaken = False
         self._n_orig: Dict[str, int] = {}
         for pool in _POOLS:
             idx = self.index[pool]
@@ -271,6 +290,8 @@ class AllocatorMirror:
         else:
             seg = self._new_segment(rounded, pool)
             size, offset = seg.size, 0
+        if size > LARGE_SEGMENT_MIN:
+            self._note_take(_large_segment(rounded), size)
         if not seg.used_blocks:
             self.dead_bytes -= seg.size
         remainder = size - rounded
@@ -337,6 +358,7 @@ class AllocatorMirror:
         pool = "small" if rounded < SMALL_LARGE_THRESHOLD else "large"
         idx = self.index[pool]
         key = (rounded, -1, -1)
+        fresh = _large_segment(rounded)
         floor = self.floor
         gc_threshold = self.gc_threshold
         dead_cap = self.dead_cap_bytes
@@ -361,6 +383,8 @@ class AllocatorMirror:
                 reserved = self.reserved
                 dead = self.dead_bytes
                 size, offset = seg.size, 0
+            if size > fresh:
+                self._note_take(fresh, size)
             if not seg.used_blocks:
                 dead -= seg.size
             rest = size - rounded
@@ -420,6 +444,23 @@ class AllocatorMirror:
         self.n_allocs = n_allocs
 
     # -- internals ----------------------------------------------------------
+    def _note_take(self, lo: int, hi: int) -> None:
+        """A block of ``hi`` bytes was handed out for a request that
+        opens a large segment of ``lo`` bytes.  A fully free large
+        segment of any size in ``[lo, hi)`` would have been the better
+        fit: add that interval to the union."""
+        los, his = self.taken_lo, self.taken_hi
+        j = bisect_right(los, lo)
+        if j and hi <= his[j - 1] or lo >= hi:
+            return  # already covered, or empty
+        i = bisect_left(his, lo)
+        j = bisect_right(los, hi, j)
+        if i < j:
+            lo = min(lo, los[i])
+            hi = max(hi, his[j - 1])
+        los[i:j] = [lo]
+        his[i:j] = [hi]
+
     @staticmethod
     def _index_remove(idx: list, size: int, seq: int, offset: int) -> None:
         i = bisect_left(idx, (size, seq, offset))
@@ -429,7 +470,10 @@ class AllocatorMirror:
         if pool == "small":
             size = SMALL_SEGMENT
         else:
-            size = max(LARGE_SEGMENT_MIN, _round_up(rounded, LARGE_ROUND))
+            size = _large_segment(rounded)
+            i = bisect_right(self.taken_lo, size)
+            if i and size < self.taken_hi[i - 1]:
+                self.overtaken = True
         if self.reserved + size > self.capacity:
             self.n_oom_retries += 1
             self._reclaim()
@@ -496,6 +540,37 @@ class AllocatorMirror:
         return (layout, self.capacity, self.gc_threshold,
                 self.dead_cap_bytes, self.allocated, self.reserved,
                 self.dead_bytes)
+
+    def follow_on(self, fingerprint: tuple, delta: TrajectoryDelta
+                  ) -> Optional[Tuple[tuple, TrajectoryDelta]]:
+        """The cache entry for rerunning the stream from the state it left.
+
+        ``fingerprint`` is the pre-batch state and ``delta`` this
+        mirror's replay from it.  Returns ``None`` unless the batch
+        reclaimed nothing, created segments ``F``, and took no block
+        that a later segment of ``F`` would have beaten
+        (``overtaken``).  Then the end state is the start state plus
+        ``F``, fully free, and a rerun from there makes the same picks,
+        each fresh segment served by the next one of ``F``.  Its GC
+        tests read at most the free fraction and dead bytes of this
+        batch's final free, which did not reclaim, so the rerun creates
+        and reclaims nothing and ends where it started: its delta is
+        this one with no segments added or drawn (with no reclaim,
+        ``reserved`` never fell, so its peak is ``reserved_end``).  An
+        OOM retry either reclaims or ends in an OOM; in a batch that
+        ends in one, all of ``F`` was created before it, so the rerun
+        meets the same full pool at the same request and fails there.
+        """
+        if delta.n_reclaims or self.overtaken or not any(delta.added):
+            return None
+        layout, capacity, gc_threshold, dead_cap, allocated, _, _ = (
+            fingerprint)
+        layout = tuple(
+            segs + tuple((size, ((0, size, True),)) for size in added)
+            for segs, added in zip(layout, delta.added))
+        return ((layout, capacity, gc_threshold, dead_cap, allocated,
+                 delta.reserved_end, delta.dead_bytes_end),
+                replace(delta, added=((), ()), n_segment_allocs=0))
 
     def delta(self, oom: Optional[Tuple[str, int]]) -> TrajectoryDelta:
         removed = []
@@ -595,6 +670,7 @@ def _grow_by_segment(mirror: AllocatorMirror, kv: List[tuple],
             if rounded < size:
                 break
             key = (rounded, -1, -1)
+            fresh = _large_segment(rounded)
             for i, (old, _, _, old_rounded) in enumerate(kv):
                 k = bisect_left(idx, key)
                 if k < len(idx):
@@ -606,6 +682,8 @@ def _grow_by_segment(mirror: AllocatorMirror, kv: List[tuple],
                     seg_size = seg.size
                     reserved = mirror.reserved
                     dead = mirror.dead_bytes
+                if seg_size > fresh:
+                    mirror._note_take(fresh, seg_size)
                 dead -= seg_size
                 seg.used_blocks[0] = rounded
                 kv[i] = (seg, 0, rounded, rounded)
@@ -735,6 +813,10 @@ class TrajectoryCache:
 
     Keys are ``(state_fingerprint(allocator), stream)`` — exact tuple
     equality, so a hit can only ever replay the exact same trajectory.
+    A miss stores its own entry and, when
+    :meth:`AllocatorMirror.follow_on` gives one, the entry for rerunning
+    the stream from the state the batch leaves (counted in
+    ``follow_ons``).  Both count toward ``max_entries``.
     """
 
     def __init__(self, max_entries: int = 256):
@@ -742,6 +824,8 @@ class TrajectoryCache:
         self._map: OrderedDict = OrderedDict()
         self.hits = 0
         self.misses = 0
+        #: Follow-on entries recorded by misses.
+        self.follow_ons = 0
 
     def delta_for(self, allocator: CachingAllocator,
                   stream: StreamSpec) -> TrajectoryDelta:
@@ -756,7 +840,11 @@ class TrajectoryCache:
         oom = simulate_stream(mirror, stream)
         delta = mirror.delta(oom)
         self._map[key] = delta
-        if len(self._map) > self.max_entries:
+        follow = mirror.follow_on(key[0], delta)
+        if follow is not None:
+            self._map[(follow[0], stream)] = follow[1]
+            self.follow_ons += 1
+        while len(self._map) > self.max_entries:
             self._map.popitem(last=False)
         return delta
 
@@ -764,6 +852,7 @@ class TrajectoryCache:
         self._map.clear()
         self.hits = 0
         self.misses = 0
+        self.follow_ons = 0
 
     def __len__(self) -> int:
         return len(self._map)

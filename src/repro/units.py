@@ -16,13 +16,11 @@ KIB = 2**10
 MIB = 2**20
 GIB = 2**30
 
-KHZ = 1e3
 MHZ = 1e6
 GHZ = 1e9
 
 MS = 1e-3
 US = 1e-6
-NS = 1e-9
 
 
 def gib(n: float) -> int:

@@ -10,7 +10,8 @@ pass (``AllocatorMirror.grow_tensors``) is checked token by token against
 a per-tensor ``alloc`` + ``free`` oracle and the real allocator.  The
 segment-granularity replay of KV growth is checked the same way, against
 the mirror with it switched off and against the real allocator, batch by
-batch.
+batch.  Each follow-on entry a cache miss records is checked against the
+real allocator rerunning the stream from the state the batch left.
 """
 
 from __future__ import annotations
@@ -253,7 +254,13 @@ def test_trajectory_cache_hits_on_repeat_state():
     c.alloc(MiB, tag="extra")
     cache.delta_for(c, stream)
     assert (cache.hits, cache.misses) == (1, 2)
-    assert len(cache) == 2
+    # Each miss created segments without reclaiming: it also recorded the
+    # entry for the state it left, so a rerun from there is a hit.
+    assert (len(cache), cache.follow_ons) == (4, 2)
+    apply_delta(a, d1)
+    d3 = cache.delta_for(a, stream)
+    assert (cache.hits, cache.misses, len(cache)) == (2, 2, 4)
+    assert d3.added == ((), ()) and d3.n_segment_allocs == 0
 
 
 def test_trajectory_cache_lru_bound_and_clear():
@@ -261,9 +268,23 @@ def test_trajectory_cache_lru_bound_and_clear():
     a = CachingAllocator(64 * MiB)
     for n in range(1, 6):
         cache.delta_for(a, _batch_stream(n_tokens=n))
-    assert len(cache) == 3
+    # The GC fraction reclaims every new segment at the last free: no
+    # follow-on entries.
+    assert (len(cache), cache.follow_ons) == (3, 0)
     cache.clear()
     assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0
+    # With GC off, five misses and five follow-on entries under a bound
+    # of three: the newest survive, the last stream's follow-on entry
+    # among them.
+    a = CachingAllocator(64 * MiB, gc_threshold=None)
+    for n in range(1, 6):
+        cache.delta_for(a, _batch_stream(n_tokens=n))
+    assert (len(cache), cache.misses, cache.follow_ons) == (3, 5, 5)
+    apply_delta(a, cache.delta_for(a, _batch_stream(n_tokens=5)))
+    cache.delta_for(a, _batch_stream(n_tokens=5))
+    assert (cache.hits, cache.misses, len(cache)) == (2, 5, 3)
+    cache.clear()
+    assert (len(cache), cache.follow_ons) == (0, 0)
 
 
 def test_process_global_cache_exists():
@@ -970,4 +991,139 @@ def test_request_floor_matches_unfloored_mirror_and_allocator():
     check()
     seen = {name: any(getattr(lg, name) for lg in logs)
             for name in _FloorLog.__dataclass_fields__}
+    assert all(seen.values()), seen
+
+
+# -- follow-on entries: a miss also records the state it leaves ----------
+
+
+@dataclass
+class _FollowLog:
+    """Which gate decided whether a miss recorded a follow-on entry; each
+    ``no_*`` flag is set only when that gate alone refused it."""
+
+    recorded: bool = False
+    recorded_setup_oom: bool = False
+    recorded_decode_oom: bool = False
+    no_reclaim: bool = False
+    no_oom_retry: bool = False
+    no_overtaken: bool = False
+    no_new_segments: bool = False
+
+
+def _check_follow_on(case: _Case) -> _FollowLog:
+    """Miss from the case's state, then rerun the stream from the state
+    the batch left: a hit exactly when a follow-on entry was recorded or
+    that state is the start state, and either way the delta equals the
+    real allocator's rerun."""
+    stream = case.stream
+    cache = TrajectoryCache()
+    start = case.allocator()
+    first = cache.delta_for(start, stream)
+    recorded = cache.follow_ons
+    assert recorded in (0, 1) and len(cache) == 1 + recorded
+
+    def left() -> CachingAllocator:
+        alloc = case.allocator()
+        apply_delta(alloc, first)
+        return alloc
+
+    fast = left()
+    same = state_fingerprint(fast) == state_fingerprint(start)
+    rerun = cache.delta_for(fast, stream)
+    assert cache.hits == (recorded or same), "key != fingerprint"
+    apply_delta(fast, rerun)
+    real = left()
+    real.reset_peaks()
+    before = {c: getattr(real.stats, c) for c in
+              ("n_allocs", "n_segment_allocs", "n_reclaims", "n_oom_retries")}
+    assert _replay_stream_real(real, stream) == rerun.oom
+    assert state_fingerprint(fast) == state_fingerprint(real)
+    assert (rerun.peak_allocated, rerun.peak_reserved, rerun.reserved_end,
+            rerun.dead_bytes_end) == (
+        real.stats.peak_allocated, real.stats.peak_reserved,
+        real.stats.reserved, real._dead_bytes)
+    assert (rerun.n_allocs, rerun.n_segment_allocs, rerun.n_reclaims,
+            rerun.n_oom_retries) == tuple(
+        getattr(real.stats, c) - b for c, b in before.items())
+
+    oom = first.oom and first.oom[0]
+    if recorded:
+        assert rerun.added == ((), ()) and rerun.removed == ((), ())
+        return _FollowLog(recorded=oom is None,
+                          recorded_setup_oom=oom == "setup",
+                          recorded_decode_oom=oom == "decode")
+    reclaim, retry = first.n_reclaims > 0, first.n_oom_retries > 0
+    added = any(first.added)
+    return _FollowLog(
+        no_reclaim=reclaim and added and not retry,
+        no_oom_retry=retry and added and oom is None,
+        no_overtaken=added and not reclaim,
+        no_new_segments=not (added or reclaim))
+
+
+def test_follow_on_entries_match_allocator():
+    """Hypothesis differential of follow-on entries: every entry a miss
+    records must be what the real allocator does when the stream runs
+    again from the state the batch left.  The suite must reach every
+    gate, or it proves nothing."""
+    logs: List[_FollowLog] = []
+
+    def batch(ws, prefill, steps=(), n_kv=1, warm=(), eager=None,
+              eager_steps=(), capacity=400 * MiB, dead_cap=None):
+        return _Case(capacity=capacity, gc_threshold=None,
+                     dead_cap=dead_cap, warm=warm, stream=StreamSpec(
+                         workspace_bytes=ws, n_kv_tensors=n_kv,
+                         kv_prefill_bytes=prefill, kv_step_bytes=steps,
+                         eager_prefill_bytes=eager,
+                         eager_step_bytes=eager_steps, n_tokens=len(steps)))
+
+    @settings(max_examples=250, deadline=None, database=None,
+              derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=st.booleans().flatmap(lambda eager: _cases(eager=eager)))
+    # The explicit examples reach every gate on their own.  Two tensors
+    # growing into fresh segments from an empty allocator: recorded.
+    @example(case=batch(64 * KiB, 20 * MiB, (22 * MiB, 24 * MiB), n_kv=2))
+    # Setup runs out at the second 20 MiB tensor, and decode at the
+    # first 40 MiB one, with nothing to reclaim: both batches leave
+    # their start state plus fully free segments, and a rerun from there
+    # fails at the same request.
+    @example(case=batch(24 * MiB, 20 * MiB, n_kv=2, capacity=60 * MiB))
+    @example(case=batch(64 * KiB, 24 * MiB, (40 * MiB,), capacity=60 * MiB))
+    # A 32 MiB dead cap reclaims two outgrown segments mid-stream; the
+    # 30 MiB and small-pool segments survive, but a rerun would put the
+    # 22 MiB prefill in the 30 MiB one and need a fresh 26 MiB segment.
+    @example(case=batch(64 * KiB, 22 * MiB, (26 * MiB, 30 * MiB),
+                        dead_cap=32 * MiB))
+    # A 34 MiB tensor finds only a 30 MiB hole in a 60 MiB pool: the OOM
+    # retry reclaims the hole.
+    @example(case=batch(64 * KiB, 34 * MiB, capacity=60 * MiB,
+                        warm=((30 * MiB, True),)))
+    # A 30 MiB workspace takes a 40 MiB hole (``alloc``), then a 34 MiB
+    # tensor opens a segment that a rerun would give the workspace; the
+    # rerun's 8 MiB eager buffer then fits nowhere.
+    @example(case=batch(30 * MiB, 34 * MiB, warm=((40 * MiB, True),),
+                        eager=8 * MiB))
+    # The same order through the fused token pass: a 12 MiB tensor takes
+    # the 40 MiB hole, then a 29 MiB eager buffer opens a 30 MiB
+    # segment.
+    @example(case=batch(64 * KiB, 512 * KiB, (12 * MiB, 20 * MiB),
+                        warm=((40 * MiB, True),), eager=64 * KiB,
+                        eager_steps=(29 * MiB, 30 * MiB)))
+    # And through the segment replay: two 20 MiB tensors in exact holes
+    # grow to 24 MiB; the first takes a 40 MiB hole, the second opens a
+    # 24 MiB segment.
+    @example(case=batch(64 * KiB, 20 * MiB, (24 * MiB, 26 * MiB), n_kv=2,
+                        warm=((20 * MiB, True), (20 * MiB, True),
+                              (40 * MiB, True))))
+    # Everything fits in cached segments: no segment to record.
+    @example(case=batch(64 * KiB, 10 * MiB, (10 * MiB + 48 * KiB,),
+                        warm=((40 * MiB, True), (512 * KiB, True))))
+    def check(case):
+        logs.append(_check_follow_on(case))
+
+    check()
+    seen = {name: any(getattr(lg, name) for lg in logs)
+            for name in _FollowLog.__dataclass_fields__}
     assert all(seen.values()), seen
