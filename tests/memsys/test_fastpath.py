@@ -999,8 +999,11 @@ def test_request_floor_matches_unfloored_mirror_and_allocator():
 
 @dataclass
 class _FollowLog:
-    """Which gate decided whether a miss recorded a follow-on entry; each
-    ``no_*`` flag is set only when that gate alone refused it."""
+    """Whether a miss recorded a follow-on entry (after no OOM, a setup
+    OOM or a decode OOM) and, if not, what refused it: a reclaim, a
+    reclaim by an OOM retry, a take a later segment would have beaten,
+    or no new segment.  Each ``no_*`` flag is set only when that was the
+    one reason."""
 
     recorded: bool = False
     recorded_setup_oom: bool = False
