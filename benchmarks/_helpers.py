@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+import functools
+import tempfile
+from typing import Dict, List, Sequence
 
 from repro.calibration import paperdata
 from repro.core import ExperimentSpec
@@ -12,21 +12,16 @@ from repro.core.cache import ResultCache
 from repro.core.sweeps import batch_size_sweep, seq_len_sweep
 from repro.reporting import ascii_lines, compare_rows, deviation_summary, format_table
 
-#: On-disk result cache shared by every bench in (and across) sessions.
-#: The batch/seqlen sweeps overlap between tables (e.g. Table 4 and
-#: Fig 1 consume the same grid), so later benches replay earlier work
-#: from disk.  Content-addressed keys make stale hits impossible; set
-#: ``REPRO_BENCH_CACHE=0`` to force recomputation.
-_CACHE_DIR = Path(__file__).parent / ".cache"
+@functools.cache
+def _cache_dir() -> tempfile.TemporaryDirectory:
+    """Result cache directory shared by every bench in one process.
 
-
-def bench_cache() -> Optional[ResultCache]:
-    if os.environ.get("REPRO_BENCH_CACHE", "1") == "0":
-        return None
-    return ResultCache(_CACHE_DIR)
-
-
-_shared_cache = bench_cache()
+    The batch/seqlen sweeps overlap between tables (e.g. Table 4 and
+    Fig 1 consume the same grid), so later benches replay earlier work.
+    The directory is removed when the process exits, so no run reads
+    what an older source tree wrote.
+    """
+    return tempfile.TemporaryDirectory(prefix="repro-bench-cache-")
 
 
 def paper_perf_rows(table: Dict, x_name: str) -> List[Dict]:
@@ -98,7 +93,7 @@ def run_batch_sweep(workload: str, n_runs: int,
         spec = ExperimentSpec.for_model(m, workload=workload, n_runs=n_runs,
                                         runtime=runtime)
         res = batch_size_sweep(spec, batch_sizes=batch_sizes,
-                               cache=_shared_cache)
+                               cache=ResultCache(_cache_dir().name))
         out.extend(sweep_rows(res, "batch_size", lambda r: r.batch_size))
     return out
 
@@ -112,7 +107,7 @@ def run_seqlen_sweep(workload: str, n_runs: int,
         spec = ExperimentSpec.for_model(m, workload=workload, n_runs=n_runs,
                                         runtime=runtime)
         res = seq_len_sweep(spec, seq_lengths=seq_lengths,
-                            cache=_shared_cache)
+                            cache=ResultCache(_cache_dir().name))
         out.extend(sweep_rows(res, "seq_len", lambda r: r.gen.total_tokens))
     return out
 

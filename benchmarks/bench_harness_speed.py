@@ -12,8 +12,7 @@ reports wall-clock speedups over the step-by-step serial baseline:
   vectorized decode stepping, and memoized allocator trajectories.
 - ``parallel``      — fast-forward plus process fan-out (one row per
   ``--jobs`` value; the multi-core scaling picture).
-- ``cache-cold``    — fast-forward, populating an empty result cache
-  (single-flight claims active).
+- ``cache-cold``    — fast-forward, populating an empty result cache.
 - ``cache-warm``    — every configuration served from the cache.
 
 Every mode asserts its result rows are identical to the baseline's

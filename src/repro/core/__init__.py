@@ -18,8 +18,6 @@ from repro.core.cache import (
     COST_MODEL_VERSION,
     CacheStats,
     ResultCache,
-    get_default_cache,
-    set_default_cache,
     spec_fingerprint,
 )
 from repro.core.experiment import (ExperimentSpec, default_precision_for,
@@ -45,7 +43,6 @@ __all__ = [
     "batch_quant_power_sweep",
     "batch_size_sweep",
     "default_precision_for",
-    "get_default_cache",
     "power_mode_sweep",
     "quantization_sweep",
     "run_experiment",
@@ -53,6 +50,5 @@ __all__ = [
     "run_specs",
     "runtime_sweep",
     "seq_len_sweep",
-    "set_default_cache",
     "spec_fingerprint",
 ]

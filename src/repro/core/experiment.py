@@ -57,12 +57,6 @@ class ExperimentSpec:
                 "kv_mode is an hf-transformers concern; the "
                 f"{self.runtime!r} runtime fixes its own KV policy")
 
-    def __setstate__(self, state: dict) -> None:
-        # Specs pickled before the runtime axis existed (cache entries,
-        # worker handoffs) load with the only runtime that existed then.
-        state.setdefault("runtime", "hf-transformers")
-        self.__dict__.update(state)
-
     @classmethod
     def for_model(cls, model: str, **overrides) -> "ExperimentSpec":
         """Spec for one model at the paper's sweep precision.
@@ -80,10 +74,9 @@ def backend_for_spec(spec: "ExperimentSpec"):
     selects (the hf backend absorbs the spec's legacy ``kv_mode``)."""
     from repro.backends import get_backend
 
-    runtime = getattr(spec, "runtime", "hf-transformers")
-    if runtime == "hf-transformers":
+    if spec.runtime == "hf-transformers":
         return get_backend("hf-transformers", kv_mode=spec.kv_mode)
-    return get_backend(runtime)
+    return get_backend(spec.runtime)
 
 
 def default_precision_for(model_name: str) -> Precision:
@@ -102,13 +95,13 @@ def run_experiment(
 ) -> RunResult:
     """Execute one spec; OOM (at load or mid-run) yields ``oom=True``.
 
-    When ``cache`` is a :class:`~repro.core.cache.ResultCache` (or one is
-    installed process-wide via
-    :func:`~repro.core.cache.set_default_cache` / ``REPRO_CACHE_DIR``),
-    the result is looked up by content address before simulating and
-    stored after.  The cache key covers the spec, the effective cost
-    constants, and the cost-model version, so stale hits are impossible
-    without a hash collision.
+    When ``cache`` is a :class:`~repro.core.cache.ResultCache`, the
+    result is looked up by content address before simulating and stored
+    after; ``cache=None`` reads and writes nothing.  The cache key covers
+    the spec, the effective cost constants, and the cost-model version,
+    so stale hits are impossible without a hash collision.  Two
+    processes racing on one cold key both simulate it; the atomic write
+    makes that harmless.
 
     An enabled ``observer`` (:class:`repro.obs.Observer`) collects
     spans/metrics for the run — and *bypasses* the cache: a cached hit
@@ -116,26 +109,20 @@ def run_experiment(
     silently masqueraded as a real one.
     """
     from repro.calibration.constants import CALIBRATED_COST_PARAMS
-    from repro.core.cache import get_default_cache
 
-    observing = observer is not None and observer.enabled
-    if cache is None and not observing:
-        cache = get_default_cache()
-    if observing:
-        cache = None
+    if observer is not None and observer.enabled:
         observer.set_group(f"{spec.model}/{spec.device}")
+        cache = None
+    if cache is None:
+        return _simulate_spec(spec, params, fast_forward, observer)
     # The engine falls back to the calibrated constants when params is
     # None; the cache key must hash the constants actually in effect.
     effective_params = params or CALIBRATED_COST_PARAMS
-    if cache is not None:
-        # Single-flight: under parallel cold runs, concurrent workers
-        # landing on one key resolve to exactly one compute — the rest
-        # block on the claim and read the winner's result.
-        return cache.get_or_compute(
-            spec, effective_params,
-            lambda: _simulate_spec(spec, params, fast_forward, observer),
-        )
-    return _simulate_spec(spec, params, fast_forward, observer)
+    result = cache.get(spec, effective_params)
+    if result is None:
+        result = _simulate_spec(spec, params, fast_forward, observer)
+        cache.put(spec, effective_params, result)
+    return result
 
 
 def _simulate_spec(

@@ -4,8 +4,12 @@ Every :class:`~repro.core.experiment.ExperimentSpec` is a closed world —
 its own simulated device, allocator, and event loop — so a sweep is an
 embarrassingly parallel map.  :func:`run_specs` executes one, either
 serially or across a :class:`~concurrent.futures.ProcessPoolExecutor`,
-with three guarantees:
+with four guarantees:
 
+- **Each distinct spec runs once**: the paper's sweeps share cells
+  (every sweep passes through the default bs-32/sl-96/MAXN point), so
+  duplicates are dropped before dispatch and their slots share the one
+  result.
 - **Deterministic ordering**: results come back in spec order
   regardless of worker scheduling (futures are slotted back into the
   position their chunk was submitted from).
@@ -16,8 +20,8 @@ with three guarantees:
   asserted by ``tests/engine/test_fast_forward.py``.
 - **Shared cache**: when a :class:`~repro.core.cache.ResultCache` is
   given, workers consult and fill the same on-disk store (atomic
-  writes plus a single-flight claim protocol, so a cold key is
-  computed exactly once fleet-wide).
+  writes; with duplicates dropped, no two workers of one call look up
+  the same key).
 
 Fan-out overhead is kept off the per-spec path: the shared immutables
 (cost params, cache config, fast-forward flag) ship **once** through the
@@ -58,35 +62,30 @@ def _worker_init(params, cache_root, cache_version,
         np.random.seed(0)
     except ImportError:
         pass
-    from repro.core.cache import ResultCache
-
     _ctx["params"] = params
+    _ctx["cache_root"] = cache_root
+    _ctx["cache_version"] = cache_version
     _ctx["fast_forward"] = fast_forward
-    # One persistent cache handle per worker: its CacheStats accumulate
-    # across every chunk this worker executes, and _run_chunk ships the
-    # per-chunk delta back via snapshot()/delta_since().
-    _ctx["cache"] = (ResultCache(cache_root, version=cache_version)
-                     if cache_root is not None else None)
 
 
 def _run_chunk(specs):
     """Module-level worker target (must be picklable).
 
-    Runs a contiguous chunk of specs and returns
-    ``(results, stats_delta)`` where ``stats_delta`` is the
-    :class:`~repro.core.cache.CacheStats` accumulated by this chunk
-    (``None`` when no cache is configured), ready for
-    :meth:`CacheStats.merge` in the parent.
+    Runs a contiguous chunk of specs against a fresh cache handle and
+    returns ``(results, stats)``: the chunk's
+    :class:`~repro.core.cache.CacheStats` (``None`` when no cache is
+    configured), ready for :meth:`CacheStats.merge` in the parent.
     """
+    from repro.core.cache import ResultCache
     from repro.core.experiment import run_experiment
 
-    cache = _ctx.get("cache")
-    before = cache.stats.snapshot() if cache is not None else None
+    root = _ctx.get("cache_root")
+    cache = (ResultCache(root, version=_ctx["cache_version"])
+             if root is not None else None)
     results = [run_experiment(s, params=_ctx.get("params"), cache=cache,
                               fast_forward=_ctx.get("fast_forward", True))
                for s in specs]
-    delta = cache.stats.delta_since(before) if cache is not None else None
-    return results, delta
+    return results, cache.stats if cache is not None else None
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -168,7 +167,12 @@ def run_specs(
     fast_forward: bool = True,
     observer=None,
 ) -> List[RunResult]:
-    """Run every spec; returns results in spec order.
+    """Run every distinct spec once; returns one result per spec, in
+    spec order.
+
+    Equal specs (``ExperimentSpec`` is frozen, and its equality covers
+    every field the cache key hashes) run once, in first-occurrence
+    order, and their slots share that one :class:`RunResult`.
 
     ``jobs <= 1`` runs serially in-process (and still uses ``cache``).
     ``jobs > 1`` fans out over a persistent process pool; ``jobs = -1``
@@ -180,13 +184,23 @@ def run_specs(
     """
     from repro.core.experiment import run_experiment
 
+    distinct = list(dict.fromkeys(specs))
     observing = observer is not None and observer.enabled
     n_jobs = 1 if observing else resolve_jobs(jobs)
-    if n_jobs <= 1 or len(specs) <= 1:
-        return [run_experiment(s, params=params, cache=cache,
-                               fast_forward=fast_forward, observer=observer)
-                for s in specs]
+    if n_jobs <= 1 or len(distinct) <= 1:
+        results = [run_experiment(s, params=params, cache=cache,
+                                  fast_forward=fast_forward,
+                                  observer=observer)
+                   for s in distinct]
+    else:
+        results = _run_on_pool(distinct, params, n_jobs, cache,
+                               fast_forward)
+    by_spec = dict(zip(distinct, results))
+    return [by_spec[s] for s in specs]
 
+
+def _run_on_pool(specs, params, n_jobs, cache, fast_forward):
+    """Fan ``specs`` out over the persistent pool; results in spec order."""
     cache_root = str(cache.root) if cache is not None else None
     cache_version = cache.version if cache is not None else None
     initargs = (params, cache_root, cache_version, fast_forward)
@@ -194,7 +208,7 @@ def run_specs(
     slices = chunk_specs(len(specs), max_workers)
     pool = _get_pool(max_workers, initargs)
 
-    futures = {pool.submit(_run_chunk, list(specs[sl])): i
+    futures = {pool.submit(_run_chunk, specs[sl]): i
                for i, sl in enumerate(slices)}
     chunk_results: List[Optional[list]] = [None] * len(slices)
     pending = set(futures)
@@ -204,11 +218,8 @@ def run_specs(
         # of the computation; ordering is restored via the slot array.
         done, pending = wait(pending, return_when=FIRST_COMPLETED)
         for fut in done:
-            results, delta = fut.result()
+            results, stats = fut.result()
             chunk_results[futures[fut]] = results
-            if cache is not None and delta is not None:
-                cache.stats.merge(delta)
-    out: List[RunResult] = []
-    for chunk in chunk_results:
-        out.extend(chunk or [])
-    return out
+            if stats is not None:
+                cache.stats.merge(stats)
+    return [r for chunk in chunk_results for r in chunk]

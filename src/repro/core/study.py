@@ -46,10 +46,6 @@ class StudySpec:
 
         get_backend(self.runtime)  # typed ConfigError on unknown names
 
-    def __setstate__(self, state: dict) -> None:
-        state.setdefault("runtime", "hf-transformers")
-        self.__dict__.update(state)
-
     @classmethod
     def of(cls, models: Optional[Sequence[str]] = None,
            **overrides) -> "StudySpec":

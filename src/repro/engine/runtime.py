@@ -90,12 +90,6 @@ class RunResult:
             "energy_j": round(self.energy_j, 1),
         }
 
-    def __setstate__(self, state: dict) -> None:
-        # Results pickled before the runtime axis existed load with the
-        # (only possible) hf default.
-        state.setdefault("runtime", "hf-transformers")
-        self.__dict__.update(state)
-
 
 class ServingEngine:
     """A loaded model on a device, ready to serve batches.

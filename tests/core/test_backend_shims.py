@@ -1,8 +1,7 @@
-"""Back-compat shims for the runtime-backend axis.
+"""The runtime-backend axis on the spec surface.
 
-Specs and results pickled before ``runtime`` existed must load with the
-hf default, and the spec surface must refuse ambiguous combinations
-with typed errors.
+Specs carry their runtime through pickling and into the cache key, and
+the spec surface refuses ambiguous combinations with typed errors.
 """
 
 import pickle
@@ -12,21 +11,7 @@ import pytest
 from repro.core import ExperimentSpec, StudySpec, spec_fingerprint
 from repro.core.sweeps import runtime_sweep_specs
 from repro.engine.kernels import EngineCostParams
-from repro.engine.runtime import RunResult
 from repro.errors import ConfigError, ExperimentError
-from repro.quant.dtypes import Precision
-
-
-def _reload_without(obj, *fields):
-    """Round-trip ``obj`` through pickle as if serialised before
-    ``fields`` existed (old cache entries, worker handoffs)."""
-    clone = pickle.loads(pickle.dumps(obj))
-    state = dict(clone.__dict__)
-    for f in fields:
-        state.pop(f, None)
-    fresh = object.__new__(type(obj))
-    fresh.__setstate__(state)
-    return fresh
 
 
 class TestSpecRuntimeField:
@@ -54,25 +39,6 @@ class TestSpecRuntimeField:
 
 
 class TestOldPicklesLoadCleanly:
-    def test_experiment_spec(self):
-        old = _reload_without(ExperimentSpec.for_model("phi2"), "runtime")
-        assert old.runtime == "hf-transformers"
-        assert old == ExperimentSpec.for_model("phi2")
-
-    def test_study_spec(self):
-        old = _reload_without(StudySpec.of(["phi2"], n_runs=1), "runtime")
-        assert old.runtime == "hf-transformers"
-
-    def test_run_result(self):
-        from repro.engine.request import GenerationSpec
-
-        r = RunResult(model="m", device="d", precision=Precision.FP16,
-                      batch_size=1, gen=GenerationSpec(1, 1),
-                      power_mode="MAXN", runtime="gguf")
-        old = _reload_without(r, "runtime")
-        assert old.runtime == "hf-transformers"
-        assert old.as_row()["runtime"] == "hf-transformers"
-
     def test_new_pickles_keep_their_runtime(self):
         spec = ExperimentSpec.for_model("phi2", runtime="gguf")
         assert pickle.loads(pickle.dumps(spec)).runtime == "gguf"

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -10,9 +13,8 @@ from repro.calibration.constants import CALIBRATED_COST_PARAMS
 from repro.core.cache import (
     COST_MODEL_VERSION,
     CACHE_DIR_ENV,
+    CacheStats,
     ResultCache,
-    get_default_cache,
-    set_default_cache,
     spec_fingerprint,
 )
 from repro.core.experiment import ExperimentSpec, run_experiment
@@ -20,6 +22,14 @@ from repro.quant.dtypes import Precision
 
 SPEC = ExperimentSpec(model="MS-Phi2", batch_size=2, n_runs=1)
 PARAMS = CALIBRATED_COST_PARAMS
+
+#: ``spec_fingerprint(SPEC, PARAMS)``, pinned: a refactor of the spec or
+#: the key payload must not move an existing key.
+SPEC_KEY = "4f3f560c2e536f96135c59e95d39b7e2f484c8e504c4f6200cebdfaac29fed94"
+
+
+def test_fingerprint_is_pinned():
+    assert spec_fingerprint(SPEC, PARAMS) == SPEC_KEY
 
 
 def test_fingerprint_is_stable_and_spec_sensitive():
@@ -106,32 +116,35 @@ def test_different_params_never_hit_stale_entries(tmp_path):
     assert stale.get(SPEC, PARAMS) is None
 
 
-def test_default_cache_resolution(tmp_path, monkeypatch):
-    set_default_cache(None)
-    try:
-        assert get_default_cache() is None
-        installed = ResultCache(tmp_path)
-        set_default_cache(installed)
-        assert get_default_cache() is installed
-        # run_experiment picks the default up without an explicit cache.
-        run_experiment(SPEC)
-        assert installed.stats.puts == 1
-    finally:
-        set_default_cache(None)
+def test_no_cache_means_no_disk_even_with_the_env_var(tmp_path):
+    # REPRO_CACHE_DIR names a directory; it does not switch caching on.
+    # A fresh interpreter, so no earlier test's process state can hide a
+    # cache that the variable alone turned on.
+    root = tmp_path / "envcache"
+    planted = run_experiment(SPEC)
+    planted.mean_latency_s = -1.0
+    ResultCache(root).put(SPEC, PARAMS, planted)
+    entries = sorted(root.rglob("*"))
+    env = dict(os.environ, **{CACHE_DIR_ENV: str(root)},
+               PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "from repro.core.experiment import ExperimentSpec, run_experiment\n"
+         "spec = ExperimentSpec(model='MS-Phi2', batch_size=2, n_runs=1)\n"
+         "print(run_experiment(spec, cache=None).mean_latency_s)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert float(out) > 0, "cache=None read the planted entry"
+    assert sorted(root.rglob("*")) == entries, "cache=None wrote an entry"
 
 
-def test_env_var_enables_default_cache(tmp_path, monkeypatch):
-    import repro.core.cache as cache_mod
-
-    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "envcache"))
-    monkeypatch.setattr(cache_mod, "_default_cache", None)
-    monkeypatch.setattr(cache_mod, "_default_resolved", False)
-    try:
-        cache = get_default_cache()
-        assert cache is not None
-        assert cache.root == tmp_path / "envcache"
-    finally:
-        set_default_cache(None)
+def test_cache_stats_merge():
+    a = CacheStats(hits=2, misses=3, puts=1)
+    total = CacheStats().merge(a).merge(CacheStats(hits=5))
+    assert (total.hits, total.misses, total.puts) == (7, 3, 1)
+    assert (a.hits, a.misses, a.puts) == (2, 3, 1)
+    assert total.lookups == 10 and total.hit_rate == 0.7
+    assert total.as_row() == {"hits": 7, "misses": 3, "puts": 1,
+                              "hit_rate": 0.7}
 
 
 def test_cached_result_pickles_standalone(tmp_path):

@@ -2,15 +2,16 @@
 
 Result identity between serial and parallel runs is asserted in
 ``tests/engine/test_fast_forward.py``; here we pin the machinery those
-results ride on: the chunking heuristic, worker-side cache-stats
-folding through ``CacheStats.merge``, and pool persistence across
-``run_specs`` calls.
+results ride on: the chunking heuristic, one run per distinct spec,
+worker-side cache-stats folding through ``CacheStats.merge``, and pool
+persistence across ``run_specs`` calls.
 """
 
 from __future__ import annotations
 
 import pytest
 
+import repro.core.experiment as experiment
 import repro.core.parallel as parallel
 from repro.core.cache import ResultCache
 from repro.core.experiment import ExperimentSpec
@@ -83,6 +84,36 @@ def test_parallel_folds_worker_cache_stats(tmp_path):
     assert cache.stats.hits == len(SPECS)
     for a, b in zip(cold, warm):
         assert a.as_row() == b.as_row()
+
+
+#: SPECS with every spec repeated out of order: 7 slots, 3 distinct.
+DUPLICATED = [SPECS[0], SPECS[1], SPECS[0], SPECS[2], SPECS[1], SPECS[0],
+              SPECS[2]]
+
+
+def _assert_slots_share_results(out):
+    assert [(r.batch_size, r.power_mode) for r in out] == \
+        [(s.batch_size, s.power_mode) for s in DUPLICATED]
+    first = {}
+    for spec, result in zip(DUPLICATED, out):
+        assert first.setdefault(spec, result) is result
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_duplicate_specs_run_once(tmp_path, monkeypatch, jobs):
+    calls = []
+    simulate = experiment._simulate_spec
+    monkeypatch.setattr(experiment, "_simulate_spec",
+                        lambda spec, *a: calls.append(spec)
+                        or simulate(spec, *a))
+    cache = ResultCache(tmp_path, version="test")
+    out = run_specs(DUPLICATED, jobs=jobs, cache=cache)
+    _assert_slots_share_results(out)
+    assert (cache.stats.misses, cache.stats.puts, cache.stats.hits) == \
+        (len(SPECS), len(SPECS), 0)
+    if jobs == 1:
+        # Pool workers record their calls in their own copies of calls.
+        assert calls == SPECS
 
 
 def test_pool_persists_across_calls_and_rebuilds_on_config_change(tmp_path):
