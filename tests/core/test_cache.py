@@ -124,7 +124,10 @@ def test_no_cache_means_no_disk_even_with_the_env_var(tmp_path):
     planted = run_experiment(SPEC)
     planted.mean_latency_s = -1.0
     ResultCache(root).put(SPEC, PARAMS, planted)
-    entries = sorted(root.rglob("*"))
+    def entries():
+        return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    before = entries()
     env = dict(os.environ, **{CACHE_DIR_ENV: str(root)},
                PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run(
@@ -134,7 +137,7 @@ def test_no_cache_means_no_disk_even_with_the_env_var(tmp_path):
          "print(run_experiment(spec, cache=None).mean_latency_s)"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert float(out) > 0, "cache=None read the planted entry"
-    assert sorted(root.rglob("*")) == entries, "cache=None wrote an entry"
+    assert entries() == before, "cache=None wrote an entry"
 
 
 def test_cache_stats_merge():
